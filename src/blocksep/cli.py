@@ -3,28 +3,25 @@
 Subcommands: seq, table, verify, decorations, bivariate, list. Every flag
 has an environment-variable twin prefixed BLOCKSEP_ (flags win). Exit
 status is 0 only when every requested computation and check succeeded;
-semantic usage problems exit 2, failed verifications exit 1.
+semantic usage problems and failures to write --output exit 2, failed
+verifications exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from . import bruteforce, recurrence, symfun, transfer
+from . import bruteforce, fibonacci, recurrence, symfun, transfer
 from .bruteforce import DecoratedPartition
-from .fibonacci import (
-    CapExceededError,
-    enumerate_decorations,
-    word_to_independent_set,
-    word_to_tiling,
-)
+from .fibonacci import (CapExceededError, enumerate_decorations, word_to_independent_set,
+                        word_to_tiling)
 from .qseries import euler_inverse
 
 ENV_PREFIX = "BLOCKSEP_"
@@ -45,6 +42,8 @@ FORMAT_CHOICES = ("plain", "csv", "json", "bfile")
 ORACLE_WINDOW = 25
 LISTING_WINDOW = 20
 
+TRUE_WORDS, FALSE_WORDS = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+
 
 class UsageError(Exception):
     pass
@@ -57,11 +56,11 @@ class RunConfig:
     fmt: str
     cap_enum: int | None
     output: str | None
-    parallel: bool
     inject_fault: bool
 
-
-# ---------------------------------------------------------------- helpers
+    def cap(self, default: int) -> int:
+        """An enumeration cap or oracle window: --cap-enum if given, else default."""
+        return default if self.cap_enum is None else self.cap_enum
 
 
 def _env(name: str) -> str | None:
@@ -79,7 +78,12 @@ def _int_env(name: str) -> int | None:
 
 
 def _bool_env(name: str) -> bool:
-    return (_env(name) or "").strip().lower() in ("1", "true", "yes", "on")
+    raw = _env(name)
+    word = "0" if raw is None else raw.strip().lower()
+    if word not in TRUE_WORDS + FALSE_WORDS:
+        raise UsageError(f"{ENV_PREFIX}{name} must be {'/'.join(TRUE_WORDS)} or "
+                         f"{'/'.join(FALSE_WORDS)}, got {raw!r}")
+    return word in TRUE_WORDS
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -102,20 +106,31 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError("--cap-enum must be nonnegative")
 
     output = args.output or _env("OUTPUT")
-    parallel = bool(args.parallel) or _bool_env("PARALLEL")
     inject = bool(getattr(args, "inject_fault", False)) or _bool_env("INJECT_FAULT")
-    return RunConfig(limit, method, fmt, cap_enum, output, parallel, inject)
+    return RunConfig(limit, method, fmt, cap_enum, output, inject)
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+def _emit(cfg: RunConfig, renderers: dict, *data) -> int:
+    """Render data in cfg's format; replace --output whole, never partly."""
+    text = renderers[cfg.fmt](cfg, *data)
+    if not cfg.output:
         sys.stdout.write(text)
+        return EXIT_OK
+    tmp = f"{cfg.output}.{os.getpid()}.tmp"
+    try:
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, cfg.output)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+    except OSError as exc:
+        raise UsageError(f"cannot write {cfg.output}: {exc.strerror or exc}")
+    return EXIT_OK
 
 
-def _csv_text(rows: list[list[object]]) -> str:
+def _csv_text(rows: list) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)
@@ -128,29 +143,21 @@ def _json_text(n: int, values: object, method: str, checks: list[dict], **extra)
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _require_format(cfg: RunConfig, allowed: tuple[str, ...]) -> None:
-    if cfg.fmt not in allowed:
-        raise UsageError(f"format {cfg.fmt!r} does not apply here; use one of {allowed}")
+def _lines_text(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
 
 
-# ------------------------------------------------------------- sequences
-
-
-def _sequence_by_method(method: str, limit: int, cap: int) -> list[int]:
-    if method == "bruteforce":
-        return [bruteforce.count_block_separated(n, cap=cap) for n in range(limit + 1)]
-    return list(SERIES_METHODS[method](limit).coeffs)
-
-
-def _compute_methods(cfg: RunConfig, methods: list[str]) -> dict[str, list[int]]:
-    cap = cfg.cap_enum if cfg.cap_enum is not None else bruteforce.DEFAULT_WEIGHT_CAP
-    if cfg.parallel and len(methods) > 1:
-        with ProcessPoolExecutor(max_workers=len(methods)) as pool:
-            futures = {
-                m: pool.submit(_sequence_by_method, m, cfg.limit, cap) for m in methods
-            }
-            return {m: f.result() for m, f in futures.items()}
-    return {m: _sequence_by_method(m, cfg.limit, cap) for m in methods}
+def _sequence(cfg: RunConfig, method: str) -> list[int]:
+    """b(0..limit) by one route; bruteforce refuses a limit beyond its cap."""
+    if method != "bruteforce":
+        return list(SERIES_METHODS[method](cfg.limit).coeffs)
+    cap = cfg.cap(bruteforce.DEFAULT_WEIGHT_CAP)
+    if cfg.limit > cap:
+        raise UsageError(
+            f"bruteforce refuses limit {cfg.limit} beyond cap {cap}; "
+            "raise --cap-enum if you mean it"
+        )
+    return [bruteforce.count_block_separated(n, cap=cap) for n in range(cfg.limit + 1)]
 
 
 def _first_difference(results: dict[str, list[int]]) -> int | None:
@@ -161,108 +168,62 @@ def _first_difference(results: dict[str, list[int]]) -> int | None:
     return None
 
 
-def _all_method_names(cfg: RunConfig) -> list[str]:
-    names = list(SERIES_METHODS)
-    window = cfg.cap_enum if cfg.cap_enum is not None else ORACLE_WINDOW
-    if cfg.limit <= window:
-        names.append("bruteforce")
-    return names
+SEQ_FORMATS = {
+    "plain": lambda cfg, values, checks: " ".join(str(v) for v in values) + "\n",
+    "csv": lambda cfg, values, checks: _csv_text([["n", "b"], *enumerate(values)]),
+    "json": lambda cfg, values, checks: _json_text(cfg.limit, values, cfg.method, checks),
+    "bfile": lambda cfg, values, checks: "".join(f"{n} {v}\n" for n, v in enumerate(values)),
+}
 
 
 def cmd_seq(cfg: RunConfig, _args: argparse.Namespace) -> int:
-    if cfg.method == "bruteforce":
-        cap = cfg.cap_enum if cfg.cap_enum is not None else bruteforce.DEFAULT_WEIGHT_CAP
-        if cfg.limit > cap:
-            raise UsageError(
-                f"bruteforce refuses limit {cfg.limit} beyond cap {cap}; "
-                "raise --cap-enum if you mean it"
-            )
-        values = _sequence_by_method("bruteforce", cfg.limit, cap)
-        checks: list[dict] = []
-    elif cfg.method == "all":
-        results = _compute_methods(cfg, _all_method_names(cfg))
-        diff = _first_difference(results)
-        if diff is not None:
-            at = {m: values[diff] for m, values in results.items()}
-            sys.stderr.write(f"method disagreement at n={diff}: {at}\n")
-            return EXIT_CHECK_FAILED
-        values = results["matrix"]
-        checks = [
-            {
-                "name": "cross_method_equality",
-                "range": f"0..{cfg.limit}",
-                "methods": sorted(results),
-                "status": "pass",
-            }
-        ]
-    else:
-        values = _sequence_by_method(cfg.method, cfg.limit, 0)
-        checks = []
-
-    if cfg.fmt == "plain":
-        text = " ".join(str(v) for v in values) + "\n"
-    elif cfg.fmt == "csv":
-        text = _csv_text([["n", "b"]] + [[n, v] for n, v in enumerate(values)])
-    elif cfg.fmt == "bfile":
-        text = "".join(f"{n} {v}\n" for n, v in enumerate(values))
-    else:
-        text = _json_text(cfg.limit, values, cfg.method, checks)
-    _emit(cfg, text)
-    return EXIT_OK
+    if cfg.method != "all":
+        return _emit(cfg, SEQ_FORMATS, _sequence(cfg, cfg.method), [])
+    methods = list(SERIES_METHODS)
+    if cfg.limit <= cfg.cap(ORACLE_WINDOW):
+        methods.append("bruteforce")
+    results = {m: _sequence(cfg, m) for m in methods}
+    diff = _first_difference(results)
+    if diff is not None:
+        at = {m: values[diff] for m, values in results.items()}
+        sys.stderr.write(f"method disagreement at n={diff}: {at}\n")
+        return EXIT_CHECK_FAILED
+    checks = [{"name": "cross_method_equality", "range": f"0..{cfg.limit}",
+               "methods": sorted(results), "status": "pass"}]
+    return _emit(cfg, SEQ_FORMATS, results["matrix"], checks)
 
 
-# ----------------------------------------------------------------- table
+def _table_plain(cfg: RunConfig, rows: dict[str, list[int]]) -> str:
+    labels = {"p": "p(n)", "pbar": "p~(n)", "b": "b(n)"}
+    table = [["n"] + [str(i) for i in range(cfg.limit + 1)]]
+    table += [[labels[key]] + [str(v) for v in values] for key, values in rows.items()]
+    widths = [max(len(cell) for cell in column) for column in zip(*table)]
+    return "".join(
+        "  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip() + "\n"
+        for row in table
+    )
 
 
-def _table_rows(cfg: RunConfig) -> dict[str, list[int]]:
-    n = cfg.limit
-    method = "matrix" if cfg.method == "all" else cfg.method
-    if method == "bruteforce":
-        b = _sequence_by_method(
-            "bruteforce",
-            n,
-            cfg.cap_enum if cfg.cap_enum is not None else bruteforce.DEFAULT_WEIGHT_CAP,
-        )
-    else:
-        b = list(SERIES_METHODS[method](n).coeffs)
-    return {
-        "p": list(euler_inverse(n).coeffs),
-        "pbar": list(symfun.weighted_gf(n, lambda r: 2**r).coeffs),
-        "b": b,
-    }
+TABLE_FORMATS = {
+    "plain": _table_plain,
+    "csv": lambda cfg, rows: _csv_text(
+        [["n", *range(cfg.limit + 1)], ["p", *rows["p"]], ["p~", *rows["pbar"]],
+         ["b", *rows["b"]]]
+    ),
+    "json": lambda cfg, rows: _json_text(cfg.limit, rows, cfg.method, []),
+}
 
 
 def cmd_table(cfg: RunConfig, _args: argparse.Namespace) -> int:
-    _require_format(cfg, ("plain", "csv", "json"))
-    rows = _table_rows(cfg)
-    if cfg.fmt == "plain":
-        labels = {"p": "p(n)", "pbar": "p~(n)", "b": "b(n)"}
-        header = ["n"] + [str(i) for i in range(cfg.limit + 1)]
-        table = [header]
-        for key in ("p", "pbar", "b"):
-            table.append([labels[key]] + [str(v) for v in rows[key]])
-        widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-        text = "".join(
-            "  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip() + "\n"
-            for row in table
-        )
-    elif cfg.fmt == "csv":
-        text = _csv_text(
-            [["n"] + list(range(cfg.limit + 1))]
-            + [["p"] + rows["p"], ["p~"] + rows["pbar"], ["b"] + rows["b"]]
-        )
-    else:
-        text = _json_text(cfg.limit, rows, cfg.method, [])
-    _emit(cfg, text)
-    return EXIT_OK
+    b = _sequence(cfg, "matrix" if cfg.method == "all" else cfg.method)
+    rows = {"p": list(euler_inverse(cfg.limit).coeffs),
+            "pbar": list(symfun.weighted_gf(cfg.limit, lambda r: 2**r).coeffs), "b": b}
+    return _emit(cfg, TABLE_FORMATS, rows)
 
 
-# ---------------------------------------------------------------- verify
-
-
-def _check(name: str, lo: int, hi: int, failures: list[str]) -> dict:
+def _check(name: str, hi: int, failures: list[str]) -> dict:
     status = "pass" if not failures else "fail"
-    entry = {"name": name, "range": f"{lo}..{hi}", "status": status}
+    entry = {"name": name, "range": f"0..{hi}", "status": status}
     if failures:
         entry["detail"] = failures[0]
     return entry
@@ -270,24 +231,24 @@ def _check(name: str, lo: int, hi: int, failures: list[str]) -> dict:
 
 def _verify_checks(cfg: RunConfig) -> tuple[list[dict], list[int]]:
     n = cfg.limit
-    window = min(n, cfg.cap_enum if cfg.cap_enum is not None else ORACLE_WINDOW)
-    listing_window = min(
-        n, cfg.cap_enum if cfg.cap_enum is not None else LISTING_WINDOW
-    )
+    window = min(n, cfg.cap(ORACLE_WINDOW))
+    listing_window = min(n, cfg.cap(LISTING_WINDOW))
+    for name, hi, default in (("oracle_weighted_count", window, ORACLE_WINDOW),
+                              ("oracle_explicit_listing", listing_window, LISTING_WINDOW),
+                              ("bivariate_oracle", window, ORACLE_WINDOW)):
+        if hi < min(n, default):  # a narrowed oracle still passes; say so
+            sys.stderr.write(f"note: --cap-enum {cfg.cap_enum} narrows {name} "
+                             f"to 0..{hi} from 0..{min(n, default)}\n")
     checks = []
 
-    results = _compute_methods(cfg, list(SERIES_METHODS))
+    results = {m: _sequence(cfg, m) for m in SERIES_METHODS}
     if cfg.inject_fault:
         # self-test of the detector: flip one coefficient and watch it fail
         results["matrix"][min(1, n)] += 1
     diff = _first_difference(results)
-    failures = (
-        []
-        if diff is None
-        else [f"first difference at n={diff}: "
-              + str({m: v[diff] for m, v in results.items()})]
-    )
-    checks.append(_check("cross_method_equality", 0, n, failures))
+    failures = [] if diff is None else [
+        f"first difference at n={diff}: " + str({m: v[diff] for m, v in results.items()})]
+    checks.append(_check("cross_method_equality", n, failures))
     values = results["recurrence"]
 
     failures = []
@@ -295,18 +256,18 @@ def _verify_checks(cfg: RunConfig) -> tuple[list[dict], list[int]]:
         expected = bruteforce.count_block_separated(k, cap=window)
         if expected != values[k]:
             failures.append(f"n={k}: bruteforce={expected} series={values[k]}")
-    checks.append(_check("oracle_weighted_count", 0, window, failures))
+    checks.append(_check("oracle_weighted_count", window, failures))
 
     failures = []
     for k in range(listing_window + 1):
         listed = len(bruteforce.list_block_separated(k, cap=listing_window))
         if listed != values[k]:
             failures.append(f"n={k}: listing={listed} series={values[k]}")
-    checks.append(_check("oracle_explicit_listing", 0, listing_window, failures))
+    checks.append(_check("oracle_explicit_listing", listing_window, failures))
 
     failures = []
     triangle = symfun.bivariate_gf(window)
-    p = euler_inverse(window).coeffs
+    p = euler_inverse(n).coeffs
     for k in range(window + 1):
         row = triangle.rows[k]
         oracle_row = bruteforce.count_bivariate_oracle(k, cap=window)
@@ -316,45 +277,41 @@ def _verify_checks(cfg: RunConfig) -> tuple[list[dict], list[int]]:
             failures.append(f"n={k}: row sum {sum(row)} != b({k})={values[k]}")
         if row[0] != p[k]:
             failures.append(f"n={k}: column 0 entry {row[0]} != p({k})={p[k]}")
-    checks.append(_check("bivariate_oracle", 0, window, failures))
+    checks.append(_check("bivariate_oracle", window, failures))
 
     failures = []
-    p_full = euler_inverse(n).coeffs
-    pbar_full = symfun.weighted_gf(n, lambda r: 2**r).coeffs
+    pbar = symfun.weighted_gf(n, lambda r: 2**r).coeffs
     for k in range(n + 1):
-        if not (p_full[k] <= values[k] <= pbar_full[k]):
+        if not (p[k] <= values[k] <= pbar[k]):
             failures.append(f"n={k}: sandwich violated")
-        if k >= 1 and not p_full[k] < values[k]:
+        if k >= 1 and not p[k] < values[k]:
             failures.append(f"n={k}: lower bound not strict")
-    checks.append(_check("sandwich", 0, n, failures))
+    checks.append(_check("sandwich", n, failures))
 
     return checks, values
 
 
+def _verify_plain(cfg: RunConfig, checks: list[dict], values: list[int], ok: bool) -> str:
+    lines = [f"check {c['name']} range {c['range']}: {c['status']}"
+             + (f" ({c['detail']})" if "detail" in c else "") for c in checks]
+    return _lines_text(lines + [f"result: {'pass' if ok else 'fail'}"])
+
+
+VERIFY_FORMATS = {
+    "plain": _verify_plain,
+    "csv": lambda cfg, checks, values, ok: _csv_text(
+        [["check", "range", "status"]]
+        + [[c["name"], c["range"], c["status"]] for c in checks]
+    ),
+    "json": lambda cfg, checks, values, ok: _json_text(cfg.limit, values, "all", checks),
+}
+
+
 def cmd_verify(cfg: RunConfig, _args: argparse.Namespace) -> int:
-    _require_format(cfg, ("plain", "csv", "json"))
     checks, values = _verify_checks(cfg)
     ok = all(c["status"] == "pass" for c in checks)
-    if cfg.fmt == "plain":
-        lines = [
-            f"check {c['name']} range {c['range']}: {c['status']}"
-            + (f" ({c['detail']})" if "detail" in c else "")
-            for c in checks
-        ]
-        lines.append(f"result: {'pass' if ok else 'fail'}")
-        text = "\n".join(lines) + "\n"
-    elif cfg.fmt == "csv":
-        text = _csv_text(
-            [["check", "range", "status"]]
-            + [[c["name"], c["range"], c["status"]] for c in checks]
-        )
-    else:
-        text = _json_text(cfg.limit, values, "all", checks)
-    _emit(cfg, text)
+    _emit(cfg, VERIFY_FORMATS, checks, values, ok)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-
-# ----------------------------------------------------------- decorations
 
 
 def _render_tiling(tiles) -> str:
@@ -365,79 +322,55 @@ def _render_set(positions) -> str:
     return "{" + ",".join(str(p) for p in sorted(positions)) + "}"
 
 
-def cmd_decorations(cfg: RunConfig, args: argparse.Namespace) -> int:
-    _require_format(cfg, ("plain", "csv", "json"))
-    r = args.r
-    if r < 0:
-        raise UsageError("r must be nonnegative")
-    words = enumerate_decorations(
-        r, cap=cfg.cap_enum if cfg.cap_enum is not None else 25
-    )
-    triples = [
-        (
-            str(w) or "-",
-            word_to_independent_set(w),
-            word_to_tiling(w),
-        )
-        for w in words
+def _decorations_json(cfg: RunConfig, r: int, rows: list) -> str:
+    values = [
+        {"word": word, "independent_set": positions, "tiling": [t.value for t in tiles]}
+        for word, positions, tiles in rows
     ]
-    if cfg.fmt == "plain":
-        lines = [
-            f"{word}  {_render_set(positions)}  {_render_tiling(tiles)}"
-            for word, positions, tiles in triples
-        ]
-        lines.append(f"count {len(words)}")
-        text = "\n".join(lines) + "\n"
-    elif cfg.fmt == "csv":
-        text = _csv_text(
-            [["word", "independent_set", "tiling"]]
-            + [
-                [word, " ".join(str(p) for p in sorted(positions)), _render_tiling(tiles)]
-                for word, positions, tiles in triples
-            ]
-        )
-    else:
-        values = [
-            {
-                "word": str(w),
-                "independent_set": sorted(word_to_independent_set(w)),
-                "tiling": [t.value for t in word_to_tiling(w)],
-            }
-            for w in words
-        ]
-        text = _json_text(r, values, "enumeration", [], count=len(words))
-    _emit(cfg, text)
-    return EXIT_OK
+    return _json_text(r, values, "enumeration", [], count=len(rows))
 
 
-# -------------------------------------------------------------- bivariate
+DECORATION_FORMATS = {
+    "plain": lambda cfg, r, rows: _lines_text(
+        [f"{word or '-'}  {_render_set(positions)}  {_render_tiling(tiles)}"
+         for word, positions, tiles in rows] + [f"count {len(rows)}"]
+    ),
+    "csv": lambda cfg, r, rows: _csv_text(
+        [["word", "independent_set", "tiling"]]
+        + [[word or "-", " ".join(map(str, positions)), _render_tiling(tiles)]
+           for word, positions, tiles in rows]
+    ),
+    "json": _decorations_json,
+}
+
+
+def cmd_decorations(cfg: RunConfig, args: argparse.Namespace) -> int:
+    if args.r < 0:
+        raise UsageError("r must be nonnegative")
+    words = enumerate_decorations(args.r, cap=cfg.cap(fibonacci.DEFAULT_ENUMERATION_CAP))
+    rows = [(str(w), sorted(word_to_independent_set(w)), word_to_tiling(w)) for w in words]
+    return _emit(cfg, DECORATION_FORMATS, args.r, rows)
+
+
+def _bivariate_csv(cfg: RunConfig, rows: list[list[int]]) -> str:
+    width = max(len(row) for row in rows)
+    header = ["n"] + [f"m={m}" for m in range(width)]
+    body = [[n, *row] + [0] * (width - len(row)) for n, row in enumerate(rows)]
+    return _csv_text([header] + body)
+
+
+BIVARIATE_FORMATS = {
+    "plain": lambda cfg, rows: "".join(
+        f"{n}: " + " ".join(str(c) for c in row) + "\n" for n, row in enumerate(rows)
+    ),
+    "csv": _bivariate_csv,
+    "json": lambda cfg, rows: _json_text(cfg.limit, rows, "symmetric", []),
+}
 
 
 def cmd_bivariate(cfg: RunConfig, _args: argparse.Namespace) -> int:
-    _require_format(cfg, ("plain", "csv", "json"))
-    triangle = symfun.bivariate_gf(cfg.limit)
-    if cfg.fmt == "plain":
-        text = "".join(
-            f"{n}: " + " ".join(str(c) for c in row) + "\n"
-            for n, row in enumerate(triangle.rows)
-        )
-    elif cfg.fmt == "csv":
-        width = max(len(row) for row in triangle.rows)
-        header = ["n"] + [f"m={m}" for m in range(width)]
-        body = [
-            [n] + list(row) + [0] * (width - len(row))
-            for n, row in enumerate(triangle.rows)
-        ]
-        text = _csv_text([header] + body)
-    else:
-        text = _json_text(
-            cfg.limit, [list(row) for row in triangle.rows], "symmetric", []
-        )
-    _emit(cfg, text)
-    return EXIT_OK
-
-
-# ------------------------------------------------------------------ list
+    rows = [list(row) for row in symfun.bivariate_gf(cfg.limit).rows]
+    return _emit(cfg, BIVARIATE_FORMATS, rows)
 
 
 def render_decorated(d: DecoratedPartition) -> str:
@@ -451,93 +384,78 @@ def render_decorated(d: DecoratedPartition) -> str:
     return "+".join(pieces)
 
 
+def _list_json(cfg: RunConfig, items: list[DecoratedPartition]) -> str:
+    values = [
+        {
+            "blocks": [
+                {"part": part, "multiplicity": mult, "overlined": bool(bit)}
+                for (part, mult), bit in zip(d.skeleton.blocks, d.decoration.bits)
+            ],
+            "rendered": render_decorated(d),
+        }
+        for d in items
+    ]
+    return _json_text(cfg.limit, values, "bruteforce", [], count=len(items))
+
+
+LIST_FORMATS = {
+    "plain": lambda cfg, items: _lines_text(
+        [render_decorated(d) for d in items] + [f"count {len(items)}"]
+    ),
+    "csv": lambda cfg, items: _csv_text(
+        [["partition", "decoration"]]
+        + [[render_decorated(d), str(d.decoration)] for d in items]
+    ),
+    "json": _list_json,
+}
+
+
 def cmd_list(cfg: RunConfig, _args: argparse.Namespace) -> int:
-    _require_format(cfg, ("plain", "csv", "json"))
-    cap = cfg.cap_enum if cfg.cap_enum is not None else bruteforce.DEFAULT_LISTING_CAP
-    items = bruteforce.list_block_separated(cfg.limit, cap=cap)
-    if cfg.fmt == "plain":
-        lines = [render_decorated(d) for d in items]
-        lines.append(f"count {len(items)}")
-        text = "\n".join(lines) + "\n"
-    elif cfg.fmt == "csv":
-        text = _csv_text(
-            [["partition", "decoration"]]
-            + [[render_decorated(d), str(d.decoration)] for d in items]
-        )
-    else:
-        values = [
-            {
-                "blocks": [
-                    {"part": part, "multiplicity": mult, "overlined": bool(bit)}
-                    for (part, mult), bit in zip(
-                        d.skeleton.blocks, d.decoration.bits
-                    )
-                ],
-                "rendered": render_decorated(d),
-            }
-            for d in items
-        ]
-        text = _json_text(cfg.limit, values, "bruteforce", [], count=len(items))
-    _emit(cfg, text)
-    return EXIT_OK
+    cap = cfg.cap(bruteforce.DEFAULT_LISTING_CAP)
+    return _emit(cfg, LIST_FORMATS, bruteforce.list_block_separated(cfg.limit, cap=cap))
 
 
-# ------------------------------------------------------------------ main
+# name -> (help, handler, renderers); a command accepts the formats it can render.
+COMMANDS = {
+    "seq": ("emit b(0..limit)", cmd_seq, SEQ_FORMATS),
+    "table": ("emit p(n), p~(n), b(n) side by side", cmd_table, TABLE_FORMATS),
+    "verify": ("run the cross-method and oracle checks", cmd_verify, VERIFY_FORMATS),
+    "decorations": ("list decoration words of length r", cmd_decorations,
+                    DECORATION_FORMATS),
+    "bivariate": ("emit the triangle b(n, m)", cmd_bivariate, BIVARIATE_FORMATS),
+    "list": ("list the block-separated overpartitions of n", cmd_list, LIST_FORMATS),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blocksep",
-        description="Count block-separated overpartitions by independent methods.",
-    )
+        description="Count block-separated overpartitions by independent methods.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for name, (help_text, handler, renderers) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--limit", type=int, default=None, help="top weight n (default 10)")
         p.add_argument("--method", choices=METHOD_CHOICES, default=None)
         p.add_argument("--format", choices=FORMAT_CHOICES, default=None)
         p.add_argument("--cap-enum", type=int, default=None, dest="cap_enum",
                        help="override brute-force enumeration caps")
         p.add_argument("--output", default=None, help="write to file instead of stdout")
-        p.add_argument("--parallel", action="store_true", default=False,
-                       help="fan independent methods out to processes")
-
-    p = sub.add_parser("seq", help="emit b(0..limit)")
-    add_common(p)
-    p.set_defaults(func=cmd_seq)
-
-    p = sub.add_parser("table", help="emit p(n), p~(n), b(n) side by side")
-    add_common(p)
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("verify", help="run the cross-method and oracle checks")
-    add_common(p)
-    p.add_argument("--inject-fault", action="store_true", default=False,
-                   dest="inject_fault",
-                   help="self-test: flip one coefficient, expect failure")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("decorations", help="list decoration words of length r")
-    p.add_argument("r", type=int, help="number of blocks")
-    add_common(p)
-    p.set_defaults(func=cmd_decorations)
-
-    p = sub.add_parser("bivariate", help="emit the triangle b(n, m)")
-    add_common(p)
-    p.set_defaults(func=cmd_bivariate)
-
-    p = sub.add_parser("list", help="list the block-separated overpartitions of n")
-    add_common(p)
-    p.set_defaults(func=cmd_list)
-
+        p.set_defaults(func=handler, formats=tuple(renderers))
+    sub.choices["verify"].add_argument(
+        "--inject-fault", action="store_true", default=False, dest="inject_fault",
+        help="self-test: flip one coefficient, expect failure",
+    )
+    sub.choices["decorations"].add_argument("r", type=int, help="number of blocks")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
+        if cfg.fmt not in args.formats:
+            raise UsageError(f"format {cfg.fmt!r} does not apply here; "
+                             f"use one of {args.formats}")
         return args.func(cfg, args)
     except (UsageError, CapExceededError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -69,14 +69,10 @@ class TestSeq:
         assert code == 0
         assert out.startswith("1 2 4 7")
 
-    def test_parallel_matches_serial(self, capsys):
-        code, serial, _ = run(capsys, "seq", "--limit", "30", "--method", "all")
-        assert code == 0
-        code, parallel, _ = run(
-            capsys, "seq", "--limit", "30", "--method", "all", "--parallel"
-        )
-        assert code == 0
-        assert serial == parallel
+    def test_parallel_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["seq", "--limit", "30", "--method", "all", "--parallel"])
+        assert exc.value.code == 2
 
 
 class TestTable:
@@ -148,6 +144,18 @@ class TestVerify:
         assert code == 1
         assert "result: fail" in out
         assert "cross_method_equality" in out
+
+    def test_narrowed_windows_noted_on_stderr(self, capsys):
+        code, wide, err = run(capsys, "verify", "--limit", "30")
+        assert code == 0 and err == ""
+        code, narrow, err = run(capsys, "verify", "--limit", "30", "--cap-enum", "2")
+        assert code == 0
+        assert narrow == wide.replace("0..25", "0..2").replace("0..20", "0..2")
+        notes = err.splitlines()
+        assert len(notes) == 3
+        for name in ("oracle_weighted_count", "oracle_explicit_listing",
+                     "bivariate_oracle"):
+            assert sum(name in line for line in notes) == 1
 
     def test_inject_fault_json(self, capsys):
         code, out, _ = run(
@@ -284,9 +292,24 @@ class TestConfigPlumbing:
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "out.txt"
+        target.write_text("older and longer contents\n")
         code, out, _ = run(capsys, "seq", "--limit", "3", "--output", str(target))
         assert code == 0 and out == ""
         assert target.read_text() == "1 2 4 7\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_output_to_missing_directory_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run(capsys, "seq", "--limit", "5", "--output", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "missing").exists()
+
+    def test_bad_env_boolean(self, capsys, monkeypatch):
+        monkeypatch.setenv("BLOCKSEP_INJECT_FAULT", "maybe")
+        code, out, err = run(capsys, "verify", "--limit", "5")
+        assert code == 2 and out == ""
+        assert "BLOCKSEP_INJECT_FAULT" in err
 
     def test_negative_limit_rejected(self, capsys):
         code, _, err = run(capsys, "seq", "--limit", "-1")
