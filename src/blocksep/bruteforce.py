@@ -9,6 +9,7 @@ touches Fibonacci numbers and is therefore the ultimate oracle.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -107,6 +108,16 @@ def count_block_separated(n: int, *, cap: int = DEFAULT_WEIGHT_CAP) -> int:
     return sum(decoration_count(len(blocks)) for blocks in _block_forms(n, n))
 
 
+def _decorated_skeletons(n: int) -> Iterator[tuple[tuple, list[DecorationWord]]]:
+    # Each skeleton of n in canonical order with its legal decoration words.
+    words_by_r: dict[int, list[DecorationWord]] = {}
+    for blocks in _block_forms(n, n):
+        r = len(blocks)
+        if r not in words_by_r:
+            words_by_r[r] = enumerate_decorations(r, cap=r)
+        yield blocks, words_by_r[r]
+
+
 def list_block_separated(
     n: int, *, cap: int = DEFAULT_LISTING_CAP
 ) -> list[DecoratedPartition]:
@@ -117,15 +128,10 @@ def list_block_separated(
     the adjacency rule is what the word type enforces.
     """
     _check_cap(n, cap, "explicit listing")
-    words_by_r: dict[int, list[DecorationWord]] = {}
     out = []
-    for blocks in _block_forms(n, n):
-        r = len(blocks)
-        if r not in words_by_r:
-            words_by_r[r] = enumerate_decorations(r, cap=max(r, 25))
+    for blocks, words in _decorated_skeletons(n):
         skeleton = BlockPartition(blocks)
-        for word in words_by_r[r]:
-            out.append(DecoratedPartition(skeleton, word))
+        out.extend(DecoratedPartition(skeleton, word) for word in words)
     return out
 
 
@@ -135,16 +141,8 @@ def count_bivariate_oracle(n: int, *, cap: int = DEFAULT_WEIGHT_CAP) -> dict[int
     Explicit word enumeration, grouped by weight of the decoration.
     """
     _check_cap(n, cap, "bivariate brute-force count")
-    words_by_r: dict[int, list[DecorationWord]] = {}
-    counts: dict[int, int] = {}
-    for blocks in _block_forms(n, n):
-        r = len(blocks)
-        if r not in words_by_r:
-            words_by_r[r] = enumerate_decorations(r, cap=max(r, 25))
-        for word in words_by_r[r]:
-            m = word.overline_count
-            counts[m] = counts.get(m, 0) + 1
-    return counts
+    words = (w for _, group in _decorated_skeletons(n) for w in group)
+    return dict(Counter(w.overline_count for w in words))
 
 
 def count_overpartitions(n: int, *, cap: int = DEFAULT_WEIGHT_CAP) -> int:

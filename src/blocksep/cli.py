@@ -182,6 +182,9 @@ def cmd_seq(cfg: RunConfig, _args: argparse.Namespace) -> int:
     methods = list(SERIES_METHODS)
     if cfg.limit <= cfg.cap(ORACLE_WINDOW):
         methods.append("bruteforce")
+    else:  # the cross-check is narrower than asked for; say so
+        sys.stderr.write(f"note: --method all leaves out bruteforce beyond its window "
+                         f"0..{cfg.cap(ORACLE_WINDOW)}; raise --cap-enum to include it\n")
     results = {m: _sequence(cfg, m) for m in methods}
     diff = _first_difference(results)
     if diff is not None:

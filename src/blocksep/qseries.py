@@ -128,15 +128,8 @@ class TruncatedSeries:
         return TruncatedSeries._raw((0,) * j + c[: n - j])
 
     def mul_geometric_inverse(self, j: int) -> TruncatedSeries:
-        """Multiply by 1/(1 - q^j): out[k] = c[k] + out[k-j]."""
-        if j < 1:
-            raise ValueError("j must be a positive part size")
-        c = self._coeffs
-        n = len(c)
-        out = list(c)
-        for k in range(j, n):
-            out[k] += out[k - j]
-        return TruncatedSeries._raw(tuple(out))
+        """Multiply by 1/(1 - q^j) = 1 + S_j."""
+        return self + self.mul_s_block(j)
 
     def mul_s_block(self, j: int) -> TruncatedSeries:
         """Multiply by q^j/(1 - q^j): out[k] = c[k-j] + out[k-j]."""
@@ -147,17 +140,6 @@ class TruncatedSeries:
         out = [0] * n
         for k in range(j, n):
             out[k] = c[k - j] + out[k - j]
-        return TruncatedSeries._raw(tuple(out))
-
-    def mul_one_minus_qpow(self, j: int) -> TruncatedSeries:
-        """Multiply by (1 - q^j): out[k] = c[k] - c[k-j]."""
-        if j < 1:
-            raise ValueError("j must be a positive part size")
-        c = self._coeffs
-        n = len(c)
-        out = list(c)
-        for k in range(j, n):
-            out[k] -= c[k - j]
         return TruncatedSeries._raw(tuple(out))
 
     def __eq__(self, other: object) -> bool:
@@ -244,25 +226,11 @@ def s_block(j: int, order: int) -> TruncatedSeries:
 def euler_inverse(order: int) -> TruncatedSeries:
     """1 / prod_{j>=1} (1 - q^j) truncated; coefficient of q^n is p(n).
 
-    Computed two independent ways, the factor-by-factor product and the
-    pentagonal-number recurrence, which must agree exactly. The double
-    computation is a deliberate self-check on the most-used primitive.
+    Computed by the pentagonal-number recurrence alone. A wrong p(n) does
+    not go unnoticed: the recurrence route multiplies by this series and
+    the matrix route does not, so `verify` reports them unequal.
     """
-    by_product = _euler_inverse_by_product(order)
-    by_recurrence = TruncatedSeries._raw(tuple(partition_numbers(order)))
-    if by_product != by_recurrence:
-        raise RuntimeError(
-            "euler_inverse self-check failed: product and pentagonal "
-            f"routes disagree at order {order}"
-        )
-    return by_product
-
-
-def _euler_inverse_by_product(order: int) -> TruncatedSeries:
-    acc = one(order)
-    for j in range(1, order + 1):
-        acc = acc.mul_geometric_inverse(j)
-    return acc
+    return TruncatedSeries._raw(tuple(partition_numbers(order)))
 
 
 def partition_numbers(order: int) -> list[int]:

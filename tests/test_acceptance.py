@@ -16,7 +16,7 @@ from blocksep.fibonacci import (
     fib,
     word_to_tiling,
 )
-from blocksep.qseries import TruncatedSeries, euler_inverse, one
+from blocksep.qseries import TruncatedSeries, euler_inverse
 from blocksep.recurrence import euler_factorized_gf
 from blocksep.symfun import bivariate_gf, fibonacci_weighted_gf, weighted_gf
 from blocksep.transfer import (
@@ -25,6 +25,7 @@ from blocksep.transfer import (
     start_pair,
     transfer_matrix,
 )
+from series_folds import overpartition_product
 
 P_ROW = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
 PBAR_ROW = (1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232)
@@ -39,14 +40,6 @@ def criterion(num, name):
         print(f"criterion {num}: FAIL - {name}")
         raise
     print(f"criterion {num}: PASS - {name}")
-
-
-def overpartition_product(order):
-    """Independent oracle: multiply out prod (1+q^j)/(1-q^j) directly."""
-    acc = one(order)
-    for j in range(1, order + 1):
-        acc = (acc + acc.shift(j)).mul_geometric_inverse(j)
-    return acc
 
 
 def test_criterion_1_table_reproduction(capsys):

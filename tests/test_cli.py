@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from blocksep import qseries
 from blocksep.cli import main
 from blocksep.qseries import euler_inverse
 
@@ -28,6 +29,17 @@ class TestSeq:
         code, out, _ = run(capsys, "seq", "--limit", "10", "--method", "all")
         assert code == 0
         assert out == TABLE1_B + "\n"
+
+    def test_all_notes_dropped_bruteforce_on_stderr(self, capsys):
+        code, out, err = run(capsys, "seq", "--limit", "12", "--method", "all")
+        assert code == 0 and err == ""
+        code, narrow, err = run(
+            capsys, "seq", "--limit", "12", "--method", "all", "--cap-enum", "5"
+        )
+        assert code == 0 and narrow == out
+        (note,) = err.splitlines()
+        assert note.startswith("note: ")
+        assert "bruteforce" in note and "0..5" in note and "--cap-enum" in note
 
     def test_each_method_same_output(self, capsys):
         outputs = set()
@@ -156,6 +168,20 @@ class TestVerify:
         for name in ("oracle_weighted_count", "oracle_explicit_listing",
                      "bivariate_oracle"):
             assert sum(name in line for line in notes) == 1
+
+    def test_wrong_partition_number_fails_cross_check(self, capsys, monkeypatch):
+        pentagonal = qseries.partition_numbers
+
+        def off_by_one_at_7(order):
+            p = pentagonal(order)
+            p[7] += 1
+            return p
+
+        monkeypatch.setattr(qseries, "partition_numbers", off_by_one_at_7)
+        code, out, _ = run(capsys, "verify", "--limit", "30")
+        assert code == 1
+        (line,) = [s for s in out.splitlines() if "cross_method_equality" in s]
+        assert ": fail (first difference at n=7" in line
 
     def test_inject_fault_json(self, capsys):
         code, out, _ = run(

@@ -4,14 +4,13 @@ from hypothesis import given, settings, strategies as st
 from blocksep.qseries import (
     TruncatedSeries,
     euler_inverse,
-    _euler_inverse_by_product,
     geometric_inverse,
     one,
-    partition_numbers,
     qpow,
     s_block,
     zero,
 )
+from series_folds import euler_product_inverse
 
 
 def series(*coeffs):
@@ -134,11 +133,12 @@ class TestConstructors:
 
 class TestIdentities:
     def test_geometric_inverse_times_one_minus_qj(self):
-        # full range via the O(N) kernel; the kernel itself is pinned to
-        # the generic product in TestKernels
+        # full range via the shift kernel, which TestKernels pins to the
+        # generic product
         for n in range(65):
             for j in range(1, n + 1):
-                assert geometric_inverse(j, n).mul_one_minus_qpow(j) == one(n), (j, n)
+                g = geometric_inverse(j, n)
+                assert g - g.shift(j) == one(n), (j, n)
 
     def test_geometric_inverse_times_one_minus_qj_generic_mul(self):
         for n in (1, 7, 33, 64):
@@ -173,12 +173,6 @@ class TestKernels:
         (a,) = single
         assert a.mul_s_block(j) == a * s_block(j, a.order)
 
-    @given(_series_tuple(1), st.integers(min_value=1, max_value=40))
-    @settings(max_examples=80)
-    def test_mul_one_minus_qpow(self, single, j):
-        (a,) = single
-        assert a.mul_one_minus_qpow(j) == a * (one(a.order) - qpow(j, a.order))
-
 
 class TestEulerInverse:
     def test_table_values(self):
@@ -191,12 +185,12 @@ class TestEulerInverse:
         n = 30
         euler_product = one(n)
         for j in range(1, n + 1):
-            euler_product = euler_product.mul_one_minus_qpow(j)
+            euler_product = euler_product - euler_product.shift(j)
         assert euler_inverse(n) * euler_product == one(n)
 
     def test_both_routes_agree_at_500(self):
         n = 500
-        assert _euler_inverse_by_product(n).coeffs == tuple(partition_numbers(n))
+        assert euler_inverse(n) == euler_product_inverse(n)
 
     def test_matches_brute_force_partition_count(self):
         from blocksep.bruteforce import enumerate_block_partitions

@@ -11,18 +11,11 @@ from blocksep.symfun import (
     weighted_gf,
 )
 from blocksep.transfer import matrix_product_gf
+from series_folds import overpartition_product
 
 
 def series(*coeffs):
     return TruncatedSeries(coeffs)
-
-
-def overpartition_series(order):
-    """Independent route: prod (1+q^j)/(1-q^j) multiplied out factor by factor."""
-    acc = one(order)
-    for j in range(1, order + 1):
-        acc = (acc + acc.shift(j)).mul_geometric_inverse(j)
-    return acc
 
 
 class TestMaxBlockCount:
@@ -89,7 +82,7 @@ class TestWeightedGF:
             1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232,
         )
         for n in (0, 17, 80, 200):
-            assert weighted_gf(n, lambda r: 2**r) == overpartition_series(n), n
+            assert weighted_gf(n, lambda r: 2**r) == overpartition_product(n), n
 
     def test_fibonacci_weight_matches_named_route(self):
         from blocksep.fibonacci import fib
