@@ -16,6 +16,7 @@ import io
 import json
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import bruteforce, fibonacci, recurrence, symfun, transfer
@@ -160,14 +161,6 @@ def _sequence(cfg: RunConfig, method: str) -> list[int]:
     return [bruteforce.count_block_separated(n, cap=cap) for n in range(cfg.limit + 1)]
 
 
-def _first_difference(results: dict[str, list[int]]) -> int | None:
-    reference = next(iter(results.values()))
-    for n in range(len(reference)):
-        if any(values[n] != reference[n] for values in results.values()):
-            return n
-    return None
-
-
 SEQ_FORMATS = {
     "plain": lambda cfg, values, checks: " ".join(str(v) for v in values) + "\n",
     "csv": lambda cfg, values, checks: _csv_text([["n", "b"], *enumerate(values)]),
@@ -186,11 +179,11 @@ def cmd_seq(cfg: RunConfig, _args: argparse.Namespace) -> int:
         sys.stderr.write(f"note: --method all leaves out bruteforce beyond its window "
                          f"0..{cfg.cap(ORACLE_WINDOW)}; raise --cap-enum to include it\n")
     results = {m: _sequence(cfg, m) for m in methods}
-    diff = _first_difference(results)
-    if diff is not None:
-        at = {m: values[diff] for m, values in results.items()}
-        sys.stderr.write(f"method disagreement at n={diff}: {at}\n")
-        return EXIT_CHECK_FAILED
+    for n in range(cfg.limit + 1):
+        at = {m: values[n] for m, values in results.items()}
+        if len(set(at.values())) > 1:
+            sys.stderr.write(f"method disagreement at n={n}: {at}\n")
+            return EXIT_CHECK_FAILED
     checks = [{"name": "cross_method_equality", "range": f"0..{cfg.limit}",
                "methods": sorted(results), "status": "pass"}]
     return _emit(cfg, SEQ_FORMATS, results["matrix"], checks)
@@ -224,73 +217,70 @@ def cmd_table(cfg: RunConfig, _args: argparse.Namespace) -> int:
     return _emit(cfg, TABLE_FORMATS, rows)
 
 
-def _check(name: str, hi: int, failures: list[str]) -> dict:
-    status = "pass" if not failures else "fail"
-    entry = {"name": name, "range": f"0..{hi}", "status": status}
-    if failures:
-        entry["detail"] = failures[0]
-    return entry
-
-
 def _verify_checks(cfg: RunConfig) -> tuple[list[dict], list[int]]:
     n = cfg.limit
-    window = min(n, cfg.cap(ORACLE_WINDOW))
-    listing_window = min(n, cfg.cap(LISTING_WINDOW))
-    for name, hi, default in (("oracle_weighted_count", window, ORACLE_WINDOW),
-                              ("oracle_explicit_listing", listing_window, LISTING_WINDOW),
-                              ("bivariate_oracle", window, ORACLE_WINDOW)):
-        if hi < min(n, default):  # a narrowed oracle still passes; say so
+
+    def window(default: int | None) -> int:  # None: the whole limit
+        return n if default is None else min(n, cfg.cap(default))
+
+    # Each rule yields the failures of its check at weight k <= hi. Rules read
+    # the routes computed below and look library functions up when called.
+    def cross_method(k: int, hi: int) -> Iterator[str]:
+        at = {m: v[k] for m, v in results.items()}
+        if len(set(at.values())) > 1:
+            yield f"first difference at n={k}: {at}"
+
+    def weighted_count(k: int, hi: int) -> Iterator[str]:
+        expected = bruteforce.count_block_separated(k, cap=hi)
+        if expected != values[k]:
+            yield f"n={k}: bruteforce={expected} series={values[k]}"
+
+    def explicit_listing(k: int, hi: int) -> Iterator[str]:
+        listed = len(bruteforce.list_block_separated(k, cap=hi))
+        if listed != values[k]:
+            yield f"n={k}: listing={listed} series={values[k]}"
+
+    def bivariate(k: int, hi: int) -> Iterator[str]:
+        row, oracle_row = triangle.rows[k], bruteforce.count_bivariate_oracle(k, cap=hi)
+        # whole rows: an oracle entry past the triangle's width is a mismatch
+        if row != tuple(oracle_row.get(m, 0) for m in range(max(oracle_row, default=0) + 1)):
+            yield f"n={k}: triangle row {row} != oracle {oracle_row}"
+        if sum(row) != values[k]:
+            yield f"n={k}: row sum {sum(row)} != b({k})={values[k]}"
+        if row[0] != p[k]:
+            yield f"n={k}: column 0 entry {row[0]} != p({k})={p[k]}"
+
+    def sandwich(k: int, hi: int) -> Iterator[str]:
+        if not p[k] <= values[k] <= pbar[k]:
+            yield f"n={k}: sandwich violated"
+        if k >= 1 and not p[k] < values[k]:
+            yield f"n={k}: lower bound not strict"
+
+    table = [("cross_method_equality", None, cross_method),
+             ("oracle_weighted_count", ORACLE_WINDOW, weighted_count),
+             ("oracle_explicit_listing", LISTING_WINDOW, explicit_listing),
+             ("bivariate_oracle", ORACLE_WINDOW, bivariate),
+             ("sandwich", None, sandwich)]
+    for name, default, _ in table:  # a narrowed oracle still passes; say so
+        if default is not None and window(default) < min(n, default):
             sys.stderr.write(f"note: --cap-enum {cfg.cap_enum} narrows {name} "
-                             f"to 0..{hi} from 0..{min(n, default)}\n")
-    checks = []
+                             f"to 0..{window(default)} from 0..{min(n, default)}\n")
 
     results = {m: _sequence(cfg, m) for m in SERIES_METHODS}
     if cfg.inject_fault:
         # self-test of the detector: flip one coefficient and watch it fail
         results["matrix"][min(1, n)] += 1
-    diff = _first_difference(results)
-    failures = [] if diff is None else [
-        f"first difference at n={diff}: " + str({m: v[diff] for m, v in results.items()})]
-    checks.append(_check("cross_method_equality", n, failures))
     values = results["recurrence"]
-
-    failures = []
-    for k in range(window + 1):
-        expected = bruteforce.count_block_separated(k, cap=window)
-        if expected != values[k]:
-            failures.append(f"n={k}: bruteforce={expected} series={values[k]}")
-    checks.append(_check("oracle_weighted_count", window, failures))
-
-    failures = []
-    for k in range(listing_window + 1):
-        listed = len(bruteforce.list_block_separated(k, cap=listing_window))
-        if listed != values[k]:
-            failures.append(f"n={k}: listing={listed} series={values[k]}")
-    checks.append(_check("oracle_explicit_listing", listing_window, failures))
-
-    failures = []
-    triangle = symfun.bivariate_gf(window)
     p = euler_inverse(n).coeffs
-    for k in range(window + 1):
-        row = triangle.rows[k]
-        oracle_row = bruteforce.count_bivariate_oracle(k, cap=window)
-        if row != tuple(oracle_row.get(m, 0) for m in range(len(row))):
-            failures.append(f"n={k}: triangle row {row} != oracle {oracle_row}")
-        if sum(row) != values[k]:
-            failures.append(f"n={k}: row sum {sum(row)} != b({k})={values[k]}")
-        if row[0] != p[k]:
-            failures.append(f"n={k}: column 0 entry {row[0]} != p({k})={p[k]}")
-    checks.append(_check("bivariate_oracle", window, failures))
-
-    failures = []
     pbar = symfun.weighted_gf(n, lambda r: 2**r).coeffs
-    for k in range(n + 1):
-        if not (p[k] <= values[k] <= pbar[k]):
-            failures.append(f"n={k}: sandwich violated")
-        if k >= 1 and not p[k] < values[k]:
-            failures.append(f"n={k}: lower bound not strict")
-    checks.append(_check("sandwich", n, failures))
+    triangle = symfun.bivariate_gf(window(ORACLE_WINDOW))
 
+    checks = []
+    for name, default, rule in table:
+        hi = window(default)
+        detail = next((d for k in range(hi + 1) for d in rule(k, hi)), None)
+        checks.append({"name": name, "range": f"0..{hi}", "status": "fail" if detail else "pass",
+                       **({"detail": detail} if detail else {})})
     return checks, values
 
 

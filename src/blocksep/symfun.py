@@ -93,8 +93,6 @@ def bivariate_gf(order: int) -> BivariateTriangle:
     grid = [[0] * width for _ in range(order + 1)]
     for r, e in enumerate(es):
         for m, c in enumerate(fib_polynomial(r).coeffs_by_m):
-            if c == 0:
-                continue
             for n, en in enumerate(e.coeffs):
                 if en:
                     grid[n][m] += c * en

@@ -1,10 +1,12 @@
 import json
+import re
 
 import pytest
 
-from blocksep import qseries
+from blocksep import bruteforce, cli, qseries, symfun
 from blocksep.cli import main
-from blocksep.qseries import euler_inverse
+from blocksep.qseries import TruncatedSeries, euler_inverse
+from blocksep.symfun import BivariateTriangle
 
 TABLE1_B = "1 2 4 7 12 19 31 47 72 107 157"
 
@@ -13,6 +15,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def edit_result(monkeypatch, module, name, edit):
+    """Pass every result of module.name through edit(result, *args)."""
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **kw: edit(original(*a, **kw), *a))
+
+
+def replaced(values, k, value):
+    return values[:k] + (value,) + values[k + 1:]
 
 
 class TestSeq:
@@ -40,6 +52,15 @@ class TestSeq:
         (note,) = err.splitlines()
         assert note.startswith("note: ")
         assert "bruteforce" in note and "0..5" in note and "--cap-enum" in note
+
+    def test_all_reports_disagreement_on_stderr(self, capsys, monkeypatch):
+        symmetric = cli.SERIES_METHODS["symmetric"]
+        monkeypatch.setitem(cli.SERIES_METHODS, "symmetric", lambda order: TruncatedSeries(
+            replaced(symmetric(order).coeffs, 3, 8)))
+        code, out, err = run(capsys, "seq", "--limit", "10", "--method", "all")
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["method disagreement at n=3: {'matrix': 7, "
+                                    "'recurrence': 7, 'symmetric': 8, 'bruteforce': 7}"]
 
     def test_each_method_same_output(self, capsys):
         outputs = set()
@@ -125,6 +146,53 @@ class TestTable:
         assert code == 2 and "format" in err
 
 
+VERIFY_CHECK_NAMES = ("cross_method_equality", "oracle_weighted_count",
+                      "oracle_explicit_listing", "bivariate_oracle", "sandwich")
+
+
+def at_9(update):
+    """An oracle row edit applied at n = 9 only; row (30, 67, 10) there."""
+    return lambda row, n: {**row, **update} if n == 9 else row
+
+
+def triangle_row_9_raised(monkeypatch):
+    # one more object at n = 9, m = 1 in both the triangle and the oracle
+    def raise_row_9(triangle, order):
+        return BivariateTriangle(replaced(triangle.rows, 9, (30, 68, 10)))
+    edit_result(monkeypatch, symfun, "bivariate_gf", raise_row_9)
+    edit_result(monkeypatch, bruteforce, "count_bivariate_oracle", at_9({1: 68}))
+
+
+def overpartitions_below_b_at_10(monkeypatch):
+    # only the 2^r weighting is p~; F(r+2) weighting is the symmetric route
+    def lower(series, order, weight):
+        return TruncatedSeries(replaced(series.coeffs, 10, 150)) if weight(4) == 16 else series
+    edit_result(monkeypatch, symfun, "weighted_gf", lower)
+
+
+# (apply the fault, failing check -> its detail); every other check passes.
+VERIFY_FAULTS = [
+    (lambda mp: edit_result(mp, bruteforce, "count_block_separated",
+                            lambda c, n: c + (n == 5)),
+     {"oracle_weighted_count": "n=5: bruteforce=20 series=19"}),
+    (lambda mp: edit_result(mp, bruteforce, "list_block_separated",
+                            lambda items, n: items[:-1] if n == 6 else items),
+     {"oracle_explicit_listing": "n=6: listing=30 series=31"}),
+    (lambda mp: edit_result(mp, bruteforce, "count_bivariate_oracle", at_9({0: 29, 1: 68})),
+     {"bivariate_oracle": "n=9: triangle row (30, 67, 10) != oracle {0: 29, 1: 68, 2: 10}"}),
+    (lambda mp: edit_result(mp, bruteforce, "count_bivariate_oracle", at_9({3: 5})),
+     {"bivariate_oracle": "n=9: triangle row (30, 67, 10) != oracle "
+                          "{0: 30, 1: 67, 2: 10, 3: 5}"}),
+    (triangle_row_9_raised, {"bivariate_oracle": "n=9: row sum 108 != b(9)=107"}),
+    # p(5) raised to b(5) = 19, in verify's p only; the recurrence route keeps its own
+    (lambda mp: edit_result(mp, cli, "euler_inverse",
+                            lambda p, order: TruncatedSeries(replaced(p.coeffs, 5, 19))),
+     {"bivariate_oracle": "n=5: column 0 entry 7 != p(5)=19",
+      "sandwich": "n=5: lower bound not strict"}),
+    (overpartitions_below_b_at_10, {"sandwich": "n=10: sandwich violated"}),
+]
+
+
 class TestVerify:
     def test_all_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--limit", "30")
@@ -140,13 +208,7 @@ class TestVerify:
         doc = json.loads(out)
         assert set(doc) == {"n", "values", "method", "checks"}
         names = [c["name"] for c in doc["checks"]]
-        assert names == [
-            "cross_method_equality",
-            "oracle_weighted_count",
-            "oracle_explicit_listing",
-            "bivariate_oracle",
-            "sandwich",
-        ]
+        assert names == list(VERIFY_CHECK_NAMES)
         for c in doc["checks"]:
             assert c["status"] == "pass"
             assert ".." in c["range"]
@@ -182,6 +244,19 @@ class TestVerify:
         assert code == 1
         (line,) = [s for s in out.splitlines() if "cross_method_equality" in s]
         assert ": fail (first difference at n=7" in line
+
+    @pytest.mark.parametrize("fault, failed", VERIFY_FAULTS, ids=[
+        "count", "listing", "bivariate_moved", "bivariate_phantom_column", "row_sum",
+        "partition_number", "overpartition_bound"])
+    def test_each_fault_fails_only_its_checks(self, capsys, monkeypatch, fault, failed):
+        fault(monkeypatch)
+        code, out, err = run(capsys, "verify", "--limit", "30")
+        assert code == 1 and err == ""
+        *lines, result = out.splitlines()
+        assert result == "result: fail"
+        statuses = dict(re.fullmatch(r"check (\S+) range \S+: (.*)", s).groups() for s in lines)
+        assert statuses == {name: f"fail ({failed[name]})" if name in failed else "pass"
+                            for name in VERIFY_CHECK_NAMES}
 
     def test_inject_fault_json(self, capsys):
         code, out, _ = run(
