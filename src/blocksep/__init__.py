@@ -21,7 +21,6 @@ from .bruteforce import (
 from .fibonacci import (
     CapExceededError,
     DecorationWord,
-    FibPolynomial,
     Tile,
     decoration_count,
     enumerate_decorations,
@@ -37,6 +36,7 @@ from .qseries import (
     euler_inverse,
     geometric_inverse,
     one,
+    overpartition_numbers,
     partition_numbers,
     qpow,
     s_block,
@@ -44,7 +44,6 @@ from .qseries import (
 )
 from .recurrence import euler_factorized_gf, iter_normalized_pairs, normalized_recurrence
 from .symfun import (
-    BivariateTriangle,
     bivariate_gf,
     elementary_symmetric_series,
     fibonacci_weighted_gf,
@@ -64,12 +63,10 @@ from .transfer import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BivariateTriangle",
     "BlockPartition",
     "CapExceededError",
     "DecoratedPartition",
     "DecorationWord",
-    "FibPolynomial",
     "StatePair",
     "Tile",
     "TransferMatrix",
@@ -97,6 +94,7 @@ __all__ = [
     "normalized_matrix",
     "normalized_recurrence",
     "one",
+    "overpartition_numbers",
     "partition_numbers",
     "qpow",
     "s_block",

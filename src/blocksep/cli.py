@@ -23,7 +23,7 @@ from . import bruteforce, fibonacci, recurrence, symfun, transfer
 from .bruteforce import DecoratedPartition
 from .fibonacci import (CapExceededError, enumerate_decorations, word_to_independent_set,
                         word_to_tiling)
-from .qseries import euler_inverse
+from .qseries import euler_inverse, overpartition_numbers
 
 ENV_PREFIX = "BLOCKSEP_"
 EXIT_OK = 0
@@ -213,7 +213,7 @@ TABLE_FORMATS = {
 def cmd_table(cfg: RunConfig, _args: argparse.Namespace) -> int:
     b = _sequence(cfg, "matrix" if cfg.method == "all" else cfg.method)
     rows = {"p": list(euler_inverse(cfg.limit).coeffs),
-            "pbar": list(symfun.weighted_gf(cfg.limit, lambda r: 2**r).coeffs), "b": b}
+            "pbar": overpartition_numbers(cfg.limit), "b": b}
     return _emit(cfg, TABLE_FORMATS, rows)
 
 
@@ -241,7 +241,7 @@ def _verify_checks(cfg: RunConfig) -> tuple[list[dict], list[int]]:
             yield f"n={k}: listing={listed} series={values[k]}"
 
     def bivariate(k: int, hi: int) -> Iterator[str]:
-        row, oracle_row = triangle.rows[k], bruteforce.count_bivariate_oracle(k, cap=hi)
+        row, oracle_row = triangle[k], bruteforce.count_bivariate_oracle(k, cap=hi)
         # whole rows: an oracle entry past the triangle's width is a mismatch
         if row != tuple(oracle_row.get(m, 0) for m in range(max(oracle_row, default=0) + 1)):
             yield f"n={k}: triangle row {row} != oracle {oracle_row}"
@@ -272,7 +272,7 @@ def _verify_checks(cfg: RunConfig) -> tuple[list[dict], list[int]]:
         results["matrix"][min(1, n)] += 1
     values = results["recurrence"]
     p = euler_inverse(n).coeffs
-    pbar = symfun.weighted_gf(n, lambda r: 2**r).coeffs
+    pbar = overpartition_numbers(n)
     triangle = symfun.bivariate_gf(window(ORACLE_WINDOW))
 
     checks = []
@@ -362,7 +362,7 @@ BIVARIATE_FORMATS = {
 
 
 def cmd_bivariate(cfg: RunConfig, _args: argparse.Namespace) -> int:
-    rows = [list(row) for row in symfun.bivariate_gf(cfg.limit).rows]
+    rows = [list(row) for row in symfun.bivariate_gf(cfg.limit)]
     return _emit(cfg, BIVARIATE_FORMATS, rows)
 
 

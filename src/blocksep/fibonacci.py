@@ -101,32 +101,14 @@ def enumerate_decorations(r: int, *, cap: int = DEFAULT_ENUMERATION_CAP) -> list
     return words
 
 
-@dataclass(frozen=True)
-class FibPolynomial:
-    """Decoration counts of r blocks refined by number of overlines.
+def fib_polynomial(r: int) -> tuple[int, ...]:
+    """Decorations of r blocks by overline count: entry m is C(r-m+1, m).
 
-    coeffs_by_m[m] = C(r-m+1, m), the number of decorations with exactly
-    m overlined blocks; the total is F_{r+2}.
+    The entries sum to F_{r+2}, the total number of decorations.
     """
-
-    r: int
-    coeffs_by_m: tuple[int, ...]
-
-    def __post_init__(self):
-        if sum(self.coeffs_by_m) != fib(self.r + 2):
-            raise ValueError(f"coefficients for r={self.r} do not sum to F_{self.r + 2}")
-
-    def evaluate(self, y: int) -> int:
-        return sum(c * y**m for m, c in enumerate(self.coeffs_by_m))
-
-
-def fib_polynomial(r: int) -> FibPolynomial:
-    """Refined decoration count: coefficient of y^m is C(r-m+1, m)."""
     if r < 0:
         raise ValueError("r must be nonnegative")
-    return FibPolynomial(
-        r, tuple(math.comb(r - m + 1, m) for m in range((r + 1) // 2 + 1))
-    )
+    return tuple(math.comb(r - m + 1, m) for m in range((r + 1) // 2 + 1))
 
 
 def word_to_independent_set(w: DecorationWord) -> frozenset[int]:

@@ -8,6 +8,7 @@ coefficients are Python ints, so all arithmetic is exact at any size.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import count, takewhile
 
 
 class TruncatedSeries:
@@ -234,23 +235,37 @@ def euler_inverse(order: int) -> TruncatedSeries:
 
 
 def partition_numbers(order: int) -> list[int]:
-    """p(0) .. p(order) by the pentagonal-number recurrence."""
+    """p(0) .. p(order): the reciprocal of Euler's pentagonal series.
+
+    prod_{j>=1} (1 - q^j) = 1 - sum_{k>=1} (-1)^(k+1) (q^(k(3k-1)/2) + q^(k(3k+1)/2)).
+    """
+    return _sparse_reciprocal(
+        order, ((k * (3 * k + s) // 2, (-1) ** (k + 1)) for k in count(1) for s in (-1, 1))
+    )
+
+
+def overpartition_numbers(order: int) -> list[int]:
+    """p~(0) .. p~(order): the reciprocal of Gauss's theta series.
+
+    prod_{j>=1} (1 - q^j)/(1 + q^j) = 1 - sum_{k>=1} 2(-1)^(k+1) q^(k^2).
+    """
+    return _sparse_reciprocal(order, ((k * k, 2 * (-1) ** (k + 1)) for k in count(1)))
+
+
+def _sparse_reciprocal(order: int, terms: Iterable[tuple[int, int]]) -> list[int]:
+    """f = 1 / (1 - sum c*q^g) over terms (g, c) with g ascending from 1.
+
+    f[0] = 1 and f[n] = sum_{g <= n} c * f[n - g]; terms may be endless.
+    """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    p = [0] * (order + 1)
-    p[0] = 1
+    terms = list(takewhile(lambda t: t[0] <= order, terms))
+    f = [1] + [0] * order
     for n in range(1, order + 1):
         total = 0
-        k = 1
-        while True:
-            g = k * (3 * k - 1) // 2
+        for g, c in terms:
             if g > n:
                 break
-            sign = 1 if k % 2 == 1 else -1
-            total += sign * p[n - g]
-            g += k  # second pentagonal number k(3k+1)/2
-            if g <= n:
-                total += sign * p[n - g]
-            k += 1
-        p[n] = total
-    return p
+            total += c * f[n - g]
+        f[n] = total
+    return f

@@ -9,7 +9,6 @@ blocks replaces F_{r+2} with the coefficients C(r-m+1, m).
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .fibonacci import fib, fib_polynomial
 from .qseries import TruncatedSeries, one, zero
@@ -58,32 +57,13 @@ def fibonacci_weighted_gf(order: int) -> TruncatedSeries:
     return weighted_gf(order, lambda r: fib(r + 2))
 
 
-@dataclass(frozen=True)
-class BivariateTriangle:
-    """Counts b(n, m) of weight-n objects with exactly m overlined blocks.
+def bivariate_gf(order: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of b(n, m), the weight-n objects with exactly m overlined blocks.
 
-    rows[n][m] = b(n, m); rows are trimmed of trailing zeros. Row sums
-    give b(n) and the m = 0 column gives p(n).
-    """
-
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.rows) - 1
-
-    def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.rows)
-
-    def column(self, m: int) -> tuple[int, ...]:
-        return tuple(row[m] if m < len(row) else 0 for row in self.rows)
-
-
-def bivariate_gf(order: int) -> BivariateTriangle:
-    """Triangle of b(n, m) for n = 0..order.
-
-    b(n, m) sums, over the number of blocks r, the skeleton count
-    [q^n] e_r times the number of r-block decorations with m overlines.
+    rows[n][m] = b(n, m) for n = 0..order, each row trimmed of trailing
+    zeros; row sums give b(n) and the m = 0 column gives p(n). b(n, m) sums,
+    over the number of blocks r, the skeleton count [q^n] e_r times the
+    number of r-block decorations with m overlines.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -92,14 +72,11 @@ def bivariate_gf(order: int) -> BivariateTriangle:
     width = (r_top + 1) // 2 + 1
     grid = [[0] * width for _ in range(order + 1)]
     for r, e in enumerate(es):
-        for m, c in enumerate(fib_polynomial(r).coeffs_by_m):
+        for m, c in enumerate(fib_polynomial(r)):
             for n, en in enumerate(e.coeffs):
                 if en:
                     grid[n][m] += c * en
-    rows = []
-    for row in grid:
-        top = len(row)
-        while top > 1 and row[top - 1] == 0:
-            top -= 1
-        rows.append(tuple(row[:top]))
-    return BivariateTriangle(tuple(rows))
+    for row in grid:  # trim trailing zeros, keeping b(n, 0)
+        while len(row) > 1 and row[-1] == 0:
+            row.pop()
+    return tuple(map(tuple, grid))

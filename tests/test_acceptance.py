@@ -133,8 +133,8 @@ def test_criterion_7_specializations_at_100():
         assert weighted_gf(top, lambda r: 1) == euler_inverse(top)
         assert weighted_gf(top, lambda r: 2**r) == overpartition_product(top)
         triangle = bivariate_gf(top)
-        assert triangle.column(0) == euler_inverse(top).coeffs
-        assert triangle.row_sums() == fibonacci_weighted_gf(top).coeffs
+        assert tuple(row[0] for row in triangle) == euler_inverse(top).coeffs
+        assert tuple(map(sum, triangle)) == fibonacci_weighted_gf(top).coeffs
 
 
 def test_criterion_8_sandwich_to_300():

@@ -94,6 +94,10 @@ class TestCountBlockSeparated:
         with pytest.raises(CapExceededError):
             count_block_separated(61)
 
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            count_block_separated(-1)
+
 
 class TestListBlockSeparated:
     def test_n1(self):
@@ -171,10 +175,8 @@ class TestOracleAgainstAnalyticRoutes:
         triangle = bivariate_gf(n_top)
         for n in range(n_top + 1):
             row = count_bivariate_oracle(n)
-            assert tuple(row.get(m, 0) for m in range(len(triangle.rows[n]))) == (
-                triangle.rows[n]
-            ), n
-            assert sum(row.values()) == sum(triangle.rows[n])
+            assert tuple(row.get(m, 0) for m in range(len(triangle[n]))) == triangle[n], n
+            assert sum(row.values()) == sum(triangle[n])
 
     def test_sandwich(self):
         n_top = 25

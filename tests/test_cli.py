@@ -6,7 +6,7 @@ import pytest
 from blocksep import bruteforce, cli, qseries, symfun
 from blocksep.cli import main
 from blocksep.qseries import TruncatedSeries, euler_inverse
-from blocksep.symfun import BivariateTriangle
+from blocksep.symfun import weighted_gf
 
 TABLE1_B = "1 2 4 7 12 19 31 47 72 107 157"
 
@@ -134,6 +134,13 @@ class TestTable:
         values = [line.split()[-1] for line in out.splitlines()[1:]]
         assert values == ["1", "1", "1"]
 
+    def test_pbar_row_is_the_powers_of_two_weighting(self, capsys):
+        # beyond the golden limits: p~ by its recurrence against sum 2^r e_r
+        code, out, _ = run(capsys, "table", "--limit", "150", "--format", "json")
+        assert code == 0
+        pbar = json.loads(out)["values"]["pbar"]
+        assert pbar == list(weighted_gf(150, lambda r: 2**r).coeffs)
+
     def test_sandwich_in_every_column(self, capsys):
         code, out, _ = run(capsys, "table", "--limit", "30", "--format", "json")
         doc = json.loads(out)
@@ -157,17 +164,15 @@ def at_9(update):
 
 def triangle_row_9_raised(monkeypatch):
     # one more object at n = 9, m = 1 in both the triangle and the oracle
-    def raise_row_9(triangle, order):
-        return BivariateTriangle(replaced(triangle.rows, 9, (30, 68, 10)))
-    edit_result(monkeypatch, symfun, "bivariate_gf", raise_row_9)
+    edit_result(monkeypatch, symfun, "bivariate_gf",
+                lambda rows, order: replaced(rows, 9, (30, 68, 10)))
     edit_result(monkeypatch, bruteforce, "count_bivariate_oracle", at_9({1: 68}))
 
 
 def overpartitions_below_b_at_10(monkeypatch):
-    # only the 2^r weighting is p~; F(r+2) weighting is the symmetric route
-    def lower(series, order, weight):
-        return TruncatedSeries(replaced(series.coeffs, 10, 150)) if weight(4) == 16 else series
-    edit_result(monkeypatch, symfun, "weighted_gf", lower)
+    # p~ comes from its own recurrence, imported into cli by name
+    edit_result(monkeypatch, cli, "overpartition_numbers",
+                lambda pbar, order: pbar[:10] + [150] + pbar[11:])
 
 
 # (apply the fault, failing check -> its detail); every other check passes.

@@ -6,6 +6,8 @@ from blocksep.qseries import (
     euler_inverse,
     geometric_inverse,
     one,
+    overpartition_numbers,
+    partition_numbers,
     qpow,
     s_block,
     zero,
@@ -203,3 +205,28 @@ class TestEulerInverse:
 def test_repr_is_readable():
     assert "2*q" in repr(series(1, 2))
     assert repr(zero(2)) == "TruncatedSeries('0')"
+    assert repr(series(0, 1, 0, -1)) == "TruncatedSeries('q - q^3')"
+    assert repr(series(1, -1)) == "TruncatedSeries('1 - q')"
+
+
+def test_hash_follows_equality():
+    assert hash(series(1, 2)) == hash(TruncatedSeries([1, 2]))
+    assert len({series(1, 2), series(1, 2), series(1, 2, 0)}) == 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda: one(3).shift(-1),
+    lambda: one(3).mul_s_block(0),
+    lambda: zero(-1),
+    lambda: one(-1),
+    lambda: qpow(-1, 3),
+    lambda: qpow(1, -1),
+    lambda: geometric_inverse(1, -1),
+    lambda: s_block(1, -1),
+    lambda: partition_numbers(-1),
+    lambda: overpartition_numbers(-1),
+], ids=["shift", "mul_s_block", "zero", "one", "qpow_exponent", "qpow_order",
+        "geometric_inverse", "s_block", "partition_numbers", "overpartition_numbers"])
+def test_rejects_bad_arguments(call):
+    with pytest.raises(ValueError):
+        call()

@@ -1,9 +1,9 @@
 import pytest
 
-from blocksep.qseries import TruncatedSeries, euler_inverse, one, s_block, zero
+from blocksep.qseries import (TruncatedSeries, euler_inverse, one, overpartition_numbers,
+                              s_block, zero)
 from blocksep.recurrence import euler_factorized_gf
 from blocksep.symfun import (
-    BivariateTriangle,
     bivariate_gf,
     elementary_symmetric_series,
     fibonacci_weighted_gf,
@@ -78,11 +78,13 @@ class TestWeightedGF:
             assert weighted_gf(n, lambda r: 1) == euler_inverse(n), n
 
     def test_powers_of_two_give_overpartitions(self):
-        assert weighted_gf(10, lambda r: 2**r).coeffs == (
-            1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232,
-        )
+        first = (1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232)
+        assert weighted_gf(10, lambda r: 2**r).coeffs == first
+        assert tuple(overpartition_numbers(10)) == first
         for n in (0, 17, 80, 200):
             assert weighted_gf(n, lambda r: 2**r) == overpartition_product(n), n
+            # p~ by the theta-series reciprocal, the recurrence the CLI uses
+            assert overpartition_numbers(n) == list(overpartition_product(n).coeffs), n
 
     def test_fibonacci_weight_matches_named_route(self):
         from blocksep.fibonacci import fib
@@ -112,34 +114,39 @@ class TestFibonacciWeightedGF:
 
 class TestBivariate:
     def test_row_zero(self):
-        assert bivariate_gf(5).rows[0] == (1,)
+        assert bivariate_gf(5)[0] == (1,)
 
     def test_small_rows(self):
-        t = bivariate_gf(5)
-        assert t.rows[1] == (1, 1)
-        assert t.rows[2] == (2, 2)
+        rows = bivariate_gf(5)
+        assert rows[1] == (1, 1)
+        assert rows[2] == (2, 2)
         # two overlines would need adjacent blocks overlined at weight 3
-        assert t.rows[3] == (3, 4)
+        assert rows[3] == (3, 4)
         # first m=2 entry needs three blocks: 3+2+1 decorated 101
-        assert bivariate_gf(6).rows[6][2] == 1
+        assert bivariate_gf(6)[6][2] == 1
 
     def test_column_zero_is_partition_numbers(self):
-        t = bivariate_gf(10)
-        assert t.column(0) == euler_inverse(10).coeffs
+        rows = bivariate_gf(10)
+        assert tuple(row[0] for row in rows) == euler_inverse(10).coeffs
 
     def test_row_sums_are_the_counting_series(self):
-        t = bivariate_gf(10)
-        assert t.row_sums() == fibonacci_weighted_gf(10).coeffs
+        rows = bivariate_gf(10)
+        assert tuple(map(sum, rows)) == fibonacci_weighted_gf(10).coeffs
 
     def test_entries_nonnegative(self):
-        for row in bivariate_gf(40).rows:
+        for row in bivariate_gf(40):
             assert all(c >= 0 for c in row)
 
     def test_rows_trimmed(self):
-        for row in bivariate_gf(40).rows:
+        for row in bivariate_gf(40):
             assert len(row) == 1 or row[-1] != 0
 
-    def test_column_beyond_row_is_zero(self):
-        t = BivariateTriangle(((1,), (1, 1)))
-        assert t.column(5) == (0, 0)
-        assert t.order == 1
+
+@pytest.mark.parametrize("call", [
+    lambda: elementary_symmetric_series(-1, 3),
+    lambda: elementary_symmetric_series(3, -1),
+    lambda: bivariate_gf(-1),
+], ids=["e_r_rank", "e_r_order", "bivariate_gf"])
+def test_rejects_bad_arguments(call):
+    with pytest.raises(ValueError):
+        call()

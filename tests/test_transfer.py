@@ -147,3 +147,13 @@ class TestMatrixProductGF:
         assert all(b[i] <= b[i + 1] for i in range(n))
         for i in range(n + 1):
             assert p[i] <= b[i] <= count_overpartitions(i)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: normalized_matrix(0, 3), ValueError),
+    (lambda: matrix_product_gf(-1), ValueError),
+    (lambda: transfer_matrix(1, 3).entry(2, 0), IndexError),
+], ids=["normalized_matrix", "matrix_product_gf", "entry"])
+def test_rejects_bad_arguments(call, error):
+    with pytest.raises(error):
+        call()
