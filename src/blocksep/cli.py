@@ -3,8 +3,8 @@
 Subcommands: seq, table, verify, decorations, bivariate, list. Every flag
 has an environment-variable twin prefixed BLOCKSEP_ (flags win). Exit
 status is 0 only when every requested computation and check succeeded;
-semantic usage problems and failures to write --output exit 2, failed
-verifications exit 1.
+semantic usage problems and failures to write --output or stdout exit 2,
+failed verifications exit 1.
 """
 
 from __future__ import annotations
@@ -114,11 +114,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 def _emit(cfg: RunConfig, renderers: dict, *data) -> int:
     """Render data in cfg's format; replace --output whole, never partly."""
     text = renderers[cfg.fmt](cfg, *data)
-    if not cfg.output:
-        sys.stdout.write(text)
-        return EXIT_OK
-    tmp = f"{cfg.output}.{os.getpid()}.tmp"
     try:
+        if not cfg.output:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return EXIT_OK
+        tmp = f"{cfg.output}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -127,8 +128,24 @@ def _emit(cfg: RunConfig, renderers: dict, *data) -> int:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
     except OSError as exc:
-        raise UsageError(f"cannot write {cfg.output}: {exc.strerror or exc}")
+        if not cfg.output:
+            _discard_stdout()
+        raise UsageError(f"cannot write {cfg.output or 'stdout'}: {exc.strerror or exc}")
     return EXIT_OK
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device after a failed write.
+
+    The interpreter flushes stdout once more at exit; the bytes still
+    buffered then go nowhere instead of raising a second, unhandled error.
+    """
+    with contextlib.suppress(AttributeError, OSError, ValueError):
+        fd = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(fd, sys.stdout.fileno())
+        finally:
+            os.close(fd)
 
 
 def _csv_text(rows: list) -> str:

@@ -1,8 +1,9 @@
 """Truncated formal power series in q with exact integer coefficients.
 
-Everything downstream (transfer matrices, recurrences, symmetric-function
-expansions) is built on this module. A series is kept modulo q^(order+1);
-coefficients are Python ints, so all arithmetic is exact at any size.
+The routes return this type, and the literal matrix API and the tests'
+reference folds compute with its kernels; the routes themselves fold over
+plain lists of ints. A series is kept modulo q^(order+1); coefficients are
+Python ints, so all arithmetic is exact at any size.
 """
 
 from __future__ import annotations
@@ -114,9 +115,10 @@ class TruncatedSeries:
             return self.__mul__(other)
         return NotImplemented
 
-    # Specialized O(N) kernels for the factors that dominate the production
-    # paths. Each is equivalent to a generic product with the corresponding
-    # constructor series (property-tested), just without the O(N^2) cost.
+    # Specialized O(N) kernels for the factors of the transfer matrices and
+    # the Euler product. Each is equivalent to a generic product with the
+    # corresponding constructor series (property-tested), just without the
+    # O(N^2) cost.
 
     def shift(self, j: int) -> TruncatedSeries:
         """Multiply by q^j, dropping exponents beyond the order."""

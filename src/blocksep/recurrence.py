@@ -15,8 +15,9 @@ series type is signed.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from operator import add, sub
 
-from .qseries import TruncatedSeries, euler_inverse, one, zero
+from .qseries import TruncatedSeries, euler_inverse
 from .transfer import StatePair
 
 
@@ -24,16 +25,23 @@ def iter_normalized_pairs(order: int) -> Iterator[StatePair]:
     """Yield the normalized pair after steps n = 0, 1, .., order.
 
     Step n only touches coefficients from q^n up, so the low-order part of
-    f0 + f1 freezes as the iteration proceeds.
+    f0 + f1 freezes as the iteration proceeds. The pair is updated in place
+    over plain lists, as slices shifted by n; each yield is a snapshot.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    f0, f1 = one(order), zero(order)
-    yield StatePair(f0, f1)
+    f0, f1 = [1] + [0] * order, [0] * (order + 1)
+    yield _snapshot(f0, f1)
     for n in range(1, order + 1):
-        shifted_f1 = f1.shift(n)
-        f0, f1 = f0 + shifted_f1, f0.shift(n) + f1 - shifted_f1
-        yield StatePair(f0, f1)
+        kept = order + 1 - n
+        old_f0, shifted_f1 = f0[:kept], f1[:kept]
+        f0[n:] = map(add, f0[n:], shifted_f1)
+        f1[n:] = map(add, f1[n:], map(sub, old_f0, shifted_f1))
+        yield _snapshot(f0, f1)
+
+
+def _snapshot(f0: list[int], f1: list[int]) -> StatePair:
+    return StatePair(TruncatedSeries._raw(tuple(f0)), TruncatedSeries._raw(tuple(f1)))
 
 
 def normalized_recurrence(order: int) -> StatePair:

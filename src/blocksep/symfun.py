@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .fibonacci import fib, fib_polynomial
-from .qseries import TruncatedSeries, one, zero
+from .qseries import TruncatedSeries
 
 
 def max_block_count(order: int) -> int:
@@ -27,29 +27,36 @@ def max_block_count(order: int) -> int:
 def elementary_symmetric_series(r_max: int, order: int) -> list[TruncatedSeries]:
     """e_0 .. e_{r_max} of the block series S_1..S_order, truncated.
 
-    One triangular pass: for each size j, update e_r += e_{r-1} * S_j with
-    r descending so each size is used at most once per monomial. e_r with
-    r(r+1)/2 > order comes out identically zero.
+    One triangular pass over plain lists: for each size j, e_r += e_{r-1} * S_j
+    with r descending so each size is used at most once per monomial. The
+    product t = e_{r-1} * S_j is fused into the update (t[k] = e_{r-1}[k-j] +
+    t[k-j]) and starts at k = j + r(r-1)/2, since e_{r-1} of sizes below j
+    vanishes below q^(r(r-1)/2). e_r with r(r+1)/2 > order comes out zero.
     """
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    es = [one(order)] + [zero(order) for _ in range(r_max)]
-    for j in range(1, order + 1):
+    n = order + 1
+    es = [[1] + [0] * order] + [[0] * n for _ in range(r_max)]
+    for j in range(1, n):
         # e_r needs r distinct sizes <= j, so ranks above j stay zero
         for r in range(min(r_max, j), 0, -1):
-            es[r] = es[r] + es[r - 1].mul_s_block(j)
-    return es
+            src, dst, t = es[r - 1], es[r], [0] * n
+            for k in range(j + r * (r - 1) // 2, n):
+                t[k] = src[k - j] + t[k - j]
+                dst[k] += t[k]
+    return [TruncatedSeries._raw(tuple(e)) for e in es]
 
 
 def weighted_gf(order: int, weight: Callable[[int], int]) -> TruncatedSeries:
     """Sum of weight(r) * e_r over all ranks that can contribute."""
     es = elementary_symmetric_series(max_block_count(order), order)
-    acc = zero(order)
+    acc = [0] * (order + 1)
     for r, e in enumerate(es):
-        acc = acc + e * weight(r)
-    return acc
+        w = weight(r)
+        acc = [a + w * c for a, c in zip(acc, e.coeffs)]
+    return TruncatedSeries._raw(tuple(acc))
 
 
 def fibonacci_weighted_gf(order: int) -> TruncatedSeries:
@@ -69,14 +76,17 @@ def bivariate_gf(order: int) -> tuple[tuple[int, ...], ...]:
         raise ValueError("order must be nonnegative")
     r_top = max_block_count(order)
     es = elementary_symmetric_series(r_top, order)
-    width = (r_top + 1) // 2 + 1
-    grid = [[0] * width for _ in range(order + 1)]
+    # column m = sum over r of C(r-m+1, m) * e_r, built as one list per m
+    columns = [[0] * (order + 1) for _ in range((r_top + 1) // 2 + 1)]
     for r, e in enumerate(es):
+        low = r * (r + 1) // 2  # e_r vanishes below q^(r(r+1)/2)
         for m, c in enumerate(fib_polynomial(r)):
-            for n, en in enumerate(e.coeffs):
-                if en:
-                    grid[n][m] += c * en
-    for row in grid:  # trim trailing zeros, keeping b(n, 0)
-        while len(row) > 1 and row[-1] == 0:
-            row.pop()
-    return tuple(map(tuple, grid))
+            column = columns[m]
+            column[low:] = [a + c * x for a, x in zip(column[low:], e.coeffs[low:])]
+    rows = []
+    for row in zip(*columns):  # trim trailing zeros, keeping b(n, 0)
+        width = len(row)
+        while width > 1 and row[width - 1] == 0:
+            width -= 1
+        rows.append(row[:width])
+    return tuple(rows)

@@ -9,6 +9,7 @@ state 1 that it is overlined (which forbids overlining the next block).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .qseries import TruncatedSeries, geometric_inverse, one, qpow, s_block, zero
 
@@ -111,14 +112,20 @@ def matrix_product_gf(order: int) -> TruncatedSeries:
     Folds (1, 0) through the transfer matrices for j = 1..order in
     increasing j (the matrices do not commute) and sums the final states.
     Sizes beyond the order contribute identity factors, so the cutoff at
-    j = order is exact. Uses the O(order) kernels for the S_j factors:
-    the update is f0 += (f0 + f1) * S_j, f1 += f0 * S_j.
+    j = order is exact. The fold runs in place over plain lists: with
+    a = f0 * S_j and b = f1 * S_j (a[k] = f0[k-j] + a[k-j]) taken from the
+    old values, the update is f0 += a + b, f1 += a.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    f0, f1 = one(order), zero(order)
-    for j in range(1, order + 1):
-        a = f0.mul_s_block(j)
-        b = f1.mul_s_block(j)
-        f0, f1 = f0 + a + b, f1 + a
-    return f0 + f1
+    n = order + 1
+    f0, f1 = [1] + [0] * order, [0] * n
+    for j in range(1, n):
+        a, b = [0] * n, [0] * n
+        for k in range(j, n):
+            a[k] = f0[k - j] + a[k - j]
+            b[k] = f1[k - j] + b[k - j]
+        for k in range(j, n):
+            f0[k] += a[k] + b[k]
+            f1[k] += a[k]
+    return TruncatedSeries._raw(tuple(map(add, f0, f1)))

@@ -1,11 +1,12 @@
 """Reference folds shared by the tests.
 
-Each multiplies an infinite product out factor by factor with the series
-kernels, so it shares no code with the pentagonal recurrence or with the
-symmetric-function route it is compared against.
+Each multiplies an infinite product out factor by factor with the
+`TruncatedSeries` kernels, so it shares no code with the pentagonal
+recurrence or with the in-place list loops of the routes it is compared
+against.
 """
 
-from blocksep.qseries import one
+from blocksep.qseries import one, zero
 
 
 def euler_product_inverse(order):
@@ -22,3 +23,12 @@ def overpartition_product(order):
     for j in range(1, order + 1):
         acc = (acc + acc.shift(j)).mul_geometric_inverse(j)
     return acc
+
+
+def elementary_symmetric_fold(r_max, order):
+    """e_0 .. e_{r_max} of S_1..S_order: e_r += e_{r-1} * S_j, r descending."""
+    es = [one(order)] + [zero(order) for _ in range(r_max)]
+    for j in range(1, order + 1):
+        for r in range(min(r_max, j), 0, -1):
+            es[r] = es[r] + es[r - 1].mul_s_block(j)
+    return es

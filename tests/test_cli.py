@@ -1,5 +1,11 @@
+import errno
+import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -410,6 +416,36 @@ class TestConfigPlumbing:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not (tmp_path / "missing").exists()
+
+    def test_full_stdout_exits_2(self, capsys, monkeypatch):
+        class FullDevice(io.StringIO):
+            def flush(self):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stdout", FullDevice())
+        code = main(["seq", "--limit", "5"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
+
+    def test_closed_stdout_pipe_exits_2(self):
+        # the read end is gone before the child starts, so its write gets EPIPE;
+        # stderr must hold the one error line and nothing from the exit flush,
+        # which has bytes left to flush only when stdout is buffered
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "blocksep.cli", "seq", "--limit", "5"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == (
+            f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n")
 
     def test_bad_env_boolean(self, capsys, monkeypatch):
         monkeypatch.setenv("BLOCKSEP_INJECT_FAULT", "maybe")

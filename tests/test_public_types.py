@@ -1,0 +1,51 @@
+"""The routes fold over plain lists inside; what they return is pinned here.
+
+`TruncatedSeries` holds a tuple, `StatePair` two such series and the
+triangle a tuple of tuples, so no caller can see or change a route's
+working lists.
+"""
+
+from blocksep.qseries import TruncatedSeries
+from blocksep.recurrence import iter_normalized_pairs, normalized_recurrence
+from blocksep.symfun import bivariate_gf, elementary_symmetric_series, weighted_gf
+from blocksep.transfer import StatePair, matrix_product_gf
+
+
+def assert_series(s, order):
+    assert type(s) is TruncatedSeries
+    assert type(s.coeffs) is tuple and len(s.coeffs) == order + 1
+    assert all(type(c) is int for c in s.coeffs)
+
+
+def test_matrix_product_gf():
+    for n in (0, 7):
+        assert_series(matrix_product_gf(n), n)
+
+
+def test_normalized_recurrence():
+    for n in (0, 7):
+        pair = normalized_recurrence(n)
+        assert type(pair) is StatePair
+        assert_series(pair.f0, n)
+        assert_series(pair.f1, n)
+        for pair in iter_normalized_pairs(n):
+            assert type(pair) is StatePair
+            assert_series(pair.f0, n)
+            assert_series(pair.f1, n)
+
+
+def test_elementary_symmetric_series():
+    es = elementary_symmetric_series(4, 12)
+    assert type(es) is list and len(es) == 5
+    for e in es:
+        assert_series(e, 12)
+
+
+def test_weighted_gf():
+    assert_series(weighted_gf(12, lambda r: 3**r), 12)
+
+
+def test_bivariate_gf():
+    rows = bivariate_gf(12)
+    assert type(rows) is tuple and len(rows) == 13
+    assert all(type(row) is tuple for row in rows)

@@ -61,6 +61,21 @@ class TestNormalizedRecurrence:
                 for pair in iter_normalized_pairs(n)
             ), n
 
+    def test_snapshots_match_matrix_fold_and_stay_put(self):
+        # each yielded pair is the fold through normalized_matrix(1..k) and is
+        # not changed by the steps after it
+        for n in (0, 1, 2, 9, 30):
+            pairs, seen = [], []
+            for pair in iter_normalized_pairs(n):
+                pairs.append(pair)
+                seen.append((tuple(pair.f0.coeffs), tuple(pair.f1.coeffs)))
+            v = start_pair(n)
+            for k, pair in enumerate(pairs):
+                if k:
+                    v = apply_matrix(v, normalized_matrix(k, n))
+                assert (pair.f0, pair.f1) == (v.f0, v.f1), (n, k)
+                assert (pair.f0.coeffs, pair.f1.coeffs) == seen[k], (n, k)
+
     def test_stabilization(self):
         # after step n, coefficients up to q^n of the total never change
         order = 50

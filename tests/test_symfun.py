@@ -11,7 +11,7 @@ from blocksep.symfun import (
     weighted_gf,
 )
 from blocksep.transfer import matrix_product_gf
-from series_folds import overpartition_product
+from series_folds import elementary_symmetric_fold, overpartition_product
 
 
 def series(*coeffs):
@@ -65,11 +65,24 @@ class TestElementarySymmetric:
         assert elementary_symmetric_series(r_top, n) == direct
 
     def test_minimal_monomial(self):
-        # the lowest term of e_r is q^(1+2+..+r)
-        es = elementary_symmetric_series(4, 10)
-        for r in (1, 2, 3, 4):
-            lowest = next(k for k, c in enumerate(es[r].coeffs) if c)
-            assert lowest == r * (r + 1) // 2
+        # the lowest term of e_r is q^(1+2+..+r): the fused update's start
+        # index k = j + r(r-1)/2 relies on [q^k] e_{r-1} = 0 below r(r-1)/2
+        n = 120
+        es = elementary_symmetric_series(max_block_count(n), n)
+        for r, e in enumerate(es):
+            lowest = next(k for k, c in enumerate(e.coeffs) if c)
+            assert lowest == r * (r + 1) // 2, r
+
+    def test_matches_reference_fold(self):
+        # the in-place table against the series-kernel fold, with r_max below,
+        # at and above the largest rank that fits; the fold's e_r does not
+        # depend on r_max, so one fold serves all three
+        for n in range(121):
+            top = max_block_count(n)
+            reference = elementary_symmetric_fold(top + 2, n)
+            for r_max in {max(top - 1, 0), top, top + 2}:
+                assert elementary_symmetric_series(r_max, n) == reference[:r_max + 1], \
+                    (n, r_max)
 
 
 class TestWeightedGF:

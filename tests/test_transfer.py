@@ -122,7 +122,7 @@ class TestMatrixProductGF:
         assert matrix_product_gf(0) == one(0)
 
     def test_agrees_with_generic_fold(self):
-        for n in (0, 1, 2, 5, 13, 40):
+        for n in (0, 1, 2, 5, 13, 17, 40, 90):
             assert matrix_product_gf(n) == fold(n, range(1, n + 1)).total()
 
     def test_cutoff_soundness(self):
