@@ -24,7 +24,7 @@ DEFAULT_WEIGHT_CAP = 60
 DEFAULT_LISTING_CAP = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockPartition:
     """A partition grouped into blocks: ((part, multiplicity), ...).
 
@@ -58,7 +58,7 @@ class BlockPartition:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecoratedPartition:
     """A block partition plus the word saying which blocks are overlined."""
 
@@ -82,16 +82,31 @@ def _check_cap(n: int, cap: int, what: str) -> None:
         )
 
 
-def _block_forms(remaining: int, max_part: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    # Largest part first, then largest multiplicity, giving the usual
-    # descending-lex order on expanded part lists.
-    if remaining == 0:
+def _block_forms(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Partitions of n as ((part, multiplicity), ...), in descending-lex order.
+
+    ZS1 (Zoghbi and Stojmenovic 1998) on blocks: the current partition is
+    kept as a list of blocks and stepped in place. To step, pop a trailing
+    block of ones, take one copy off the new last block (its part p is at
+    least 2) and refill p plus the popped ones with parts p-1 and one
+    remainder part.
+    """
+    if n == 0:
         yield ()
         return
-    for part in range(min(max_part, remaining), 0, -1):
-        for mult in range(remaining // part, 0, -1):
-            for rest in _block_forms(remaining - part * mult, part - 1):
-                yield ((part, mult),) + rest
+    blocks = [(n, 1)]
+    while True:
+        yield tuple(blocks)
+        ones = blocks.pop()[1] if blocks[-1][0] == 1 else 0
+        if not blocks:
+            return
+        part, mult = blocks.pop()
+        if mult > 1:
+            blocks.append((part, mult - 1))
+        fill, rem = divmod(part + ones, part - 1)
+        blocks.append((part - 1, fill))
+        if rem:
+            blocks.append((rem, 1))
 
 
 def enumerate_block_partitions(
@@ -99,23 +114,18 @@ def enumerate_block_partitions(
 ) -> list[BlockPartition]:
     """All partitions of n in block form, canonical descending order."""
     _check_cap(n, cap, "partition enumeration")
-    return [BlockPartition(blocks) for blocks in _block_forms(n, n)]
+    return [BlockPartition(blocks) for blocks in _block_forms(n)]
+
+
+def _skeletons_by_blocks(n: int) -> Counter[int]:
+    # Number of skeletons of n with r blocks, keyed by r; each one is built.
+    return Counter(map(len, _block_forms(n)))
 
 
 def count_block_separated(n: int, *, cap: int = DEFAULT_WEIGHT_CAP) -> int:
     """b(n) by brute force: each skeleton contributes F_{r+2} decorations."""
     _check_cap(n, cap, "weighted brute-force count")
-    return sum(decoration_count(len(blocks)) for blocks in _block_forms(n, n))
-
-
-def _decorated_skeletons(n: int) -> Iterator[tuple[tuple, list[DecorationWord]]]:
-    # Each skeleton of n in canonical order with its legal decoration words.
-    words_by_r: dict[int, list[DecorationWord]] = {}
-    for blocks in _block_forms(n, n):
-        r = len(blocks)
-        if r not in words_by_r:
-            words_by_r[r] = enumerate_decorations(r, cap=r)
-        yield blocks, words_by_r[r]
+    return sum(decoration_count(r) * k for r, k in _skeletons_by_blocks(n).items())
 
 
 def list_block_separated(
@@ -128,24 +138,36 @@ def list_block_separated(
     the adjacency rule is what the word type enforces.
     """
     _check_cap(n, cap, "explicit listing")
+    words_by_r: dict[int, list[DecorationWord]] = {}
     out = []
-    for blocks, words in _decorated_skeletons(n):
+    for blocks in _block_forms(n):
+        r = len(blocks)
+        if r not in words_by_r:
+            words_by_r[r] = enumerate_decorations(r, cap=r)
         skeleton = BlockPartition(blocks)
-        out.extend(DecoratedPartition(skeleton, word) for word in words)
+        out.extend(DecoratedPartition(skeleton, word) for word in words_by_r[r])
     return out
 
 
 def count_bivariate_oracle(n: int, *, cap: int = DEFAULT_WEIGHT_CAP) -> dict[int, int]:
     """Counts of block-separated overpartitions of n by number of overlines.
 
-    Explicit word enumeration, grouped by weight of the decoration.
+    The words of each block count r are enumerated once and tallied by
+    overline count; every skeleton then adds the tally of its r, so each
+    (skeleton, word) pair is counted once.
     """
     _check_cap(n, cap, "bivariate brute-force count")
-    words = (w for _, group in _decorated_skeletons(n) for w in group)
-    return dict(Counter(w.overline_count for w in words))
+    by_overlines: dict[int, Counter[int]] = {}
+    out: Counter[int] = Counter()
+    for blocks in _block_forms(n):
+        r = len(blocks)
+        if r not in by_overlines:
+            by_overlines[r] = Counter(w.overline_count for w in enumerate_decorations(r, cap=r))
+        out.update(by_overlines[r])
+    return dict(out)
 
 
 def count_overpartitions(n: int, *, cap: int = DEFAULT_WEIGHT_CAP) -> int:
     """Unrestricted overpartition count: each of r blocks may be overlined."""
     _check_cap(n, cap, "overpartition count")
-    return sum(2 ** len(blocks) for blocks in _block_forms(n, n))
+    return sum(2**r * k for r, k in _skeletons_by_blocks(n).items())

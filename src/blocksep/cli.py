@@ -112,12 +112,20 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _emit(cfg: RunConfig, renderers: dict, *data) -> int:
-    """Render data in cfg's format; replace --output whole, never partly."""
+    """Render data in cfg's format; replace a regular --output whole, never partly.
+
+    An --output that exists and is not a regular file (a FIFO, a device) is
+    written directly: renaming a temporary file over it would replace it.
+    """
     text = renderers[cfg.fmt](cfg, *data)
     try:
         if not cfg.output:
             sys.stdout.write(text)
             sys.stdout.flush()
+            return EXIT_OK
+        if os.path.exists(cfg.output) and not os.path.isfile(cfg.output):
+            with open(cfg.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
             return EXIT_OK
         tmp = f"{cfg.output}.{os.getpid()}.tmp"
         try:

@@ -22,7 +22,7 @@ class CapExceededError(ValueError):
     """An enumeration was asked to exceed its configured resource cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecorationWord:
     """Overlining pattern: bit i is 1 iff block i is overlined.
 

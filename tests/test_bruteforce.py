@@ -1,8 +1,11 @@
+from collections import Counter
+
 import pytest
 
 from blocksep.bruteforce import (
     BlockPartition,
     DecoratedPartition,
+    _block_forms,
     count_bivariate_oracle,
     count_block_separated,
     count_overpartitions,
@@ -10,10 +13,11 @@ from blocksep.bruteforce import (
     list_block_separated,
 )
 from blocksep.fibonacci import CapExceededError, DecorationWord
-from blocksep.qseries import euler_inverse
+from blocksep.qseries import euler_inverse, partition_numbers
 from blocksep.recurrence import euler_factorized_gf
 from blocksep.symfun import bivariate_gf, fibonacci_weighted_gf
 from blocksep.transfer import matrix_product_gf
+from block_forms import block_forms_recursive, decorated_objects
 
 
 def all_decorations_unfiltered(r):
@@ -82,6 +86,27 @@ class TestEnumerateBlockPartitions:
         with pytest.raises(CapExceededError):
             enumerate_block_partitions(61)
         assert len(enumerate_block_partitions(61, cap=61)) > 0
+
+
+class TestBlockFormsWalk:
+    def test_same_sequence_as_the_recursion(self):
+        for n in range(41):
+            assert list(_block_forms(n)) == list(block_forms_recursive(n, n)), n
+
+    def test_yields_partition_numbers(self):
+        p = partition_numbers(40)
+        for n in range(41):
+            assert sum(1 for _ in _block_forms(n)) == p[n], n
+
+    def test_tallies_match_per_object_reference(self):
+        for n in range(26):
+            separated = decorated_objects(n, separated=True)
+            unrestricted = decorated_objects(n, separated=False)
+            assert set(separated.values()) == set(unrestricted.values()) == {1}
+            assert count_block_separated(n) == len(separated), n
+            assert count_overpartitions(n) == len(unrestricted), n
+            by_overlines = Counter(sum(bits) for _, bits in separated)
+            assert count_bivariate_oracle(n) == by_overlines, n
 
 
 class TestCountBlockSeparated:

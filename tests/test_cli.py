@@ -3,8 +3,10 @@ import io
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -409,6 +411,23 @@ class TestConfigPlumbing:
         assert code == 0 and out == ""
         assert target.read_text() == "1 2 4 7\n"
         assert list(tmp_path.iterdir()) == [target]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_output_fifo_is_written_not_replaced(self, capsys, tmp_path):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        code, out, _ = run(capsys, "seq", "--limit", "6", "--output", str(fifo))
+        reader.join(timeout=30)
+        assert not reader.is_alive(), "nothing was written to the FIFO"
+        assert code == 0 and out == ""
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
+        _, stdout, _ = run(capsys, "seq", "--limit", "6")
+        assert received == [stdout.encode()]
 
     def test_output_to_missing_directory_exits_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "out.txt"
