@@ -152,18 +152,15 @@ def list_block_separated(
 def count_bivariate_oracle(n: int, *, cap: int = DEFAULT_WEIGHT_CAP) -> dict[int, int]:
     """Counts of block-separated overpartitions of n by number of overlines.
 
-    The words of each block count r are enumerated once and tallied by
-    overline count; every skeleton then adds the tally of its r, so each
-    (skeleton, word) pair is counted once.
+    The words of each block count r are enumerated and tallied by overline
+    count, and each tally is weighted by the number of skeletons with r
+    blocks, so each (skeleton, word) pair is counted once.
     """
     _check_cap(n, cap, "bivariate brute-force count")
-    by_overlines: dict[int, Counter[int]] = {}
     out: Counter[int] = Counter()
-    for blocks in _block_forms(n):
-        r = len(blocks)
-        if r not in by_overlines:
-            by_overlines[r] = Counter(w.overline_count for w in enumerate_decorations(r, cap=r))
-        out.update(by_overlines[r])
+    for r, k in _skeletons_by_blocks(n).items():
+        tally = Counter(w.overline_count for w in enumerate_decorations(r, cap=r))
+        out.update({m: k * c for m, c in tally.items()})
     return dict(out)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -36,7 +37,6 @@ SERIES_METHODS = {
     "symmetric": symfun.fibonacci_weighted_gf,
 }
 METHOD_CHOICES = (*SERIES_METHODS, "bruteforce", "all")
-FORMAT_CHOICES = ("plain", "csv", "json", "bfile")
 
 # Brute-force routes only join cross-checks up to this weight unless the
 # user raises --cap-enum; beyond it they are too slow to be a default.
@@ -87,7 +87,7 @@ def _bool_env(name: str) -> bool:
     return word in TRUE_WORDS
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
+def _resolve_config(args: argparse.Namespace, formats: tuple[str, ...]) -> RunConfig:
     limit = args.limit if args.limit is not None else _int_env("LIMIT")
     if limit is None:
         limit = 10
@@ -99,15 +99,15 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"unknown method {method!r}; choose from {METHOD_CHOICES}")
 
     fmt = args.format or _env("FORMAT") or "plain"
-    if fmt not in FORMAT_CHOICES:
-        raise UsageError(f"unknown format {fmt!r}; choose from {FORMAT_CHOICES}")
+    if fmt not in formats:
+        raise UsageError(f"{args.command} has no format {fmt!r}; choose from {formats}")
 
     cap_enum = args.cap_enum if args.cap_enum is not None else _int_env("CAP_ENUM")
     if cap_enum is not None and cap_enum < 0:
         raise UsageError("--cap-enum must be nonnegative")
 
     output = args.output or _env("OUTPUT")
-    inject = bool(getattr(args, "inject_fault", False)) or _bool_env("INJECT_FAULT")
+    inject = args.command == "verify" and (args.inject_fault or _bool_env("INJECT_FAULT"))
     return RunConfig(limit, method, fmt, cap_enum, output, inject)
 
 
@@ -445,20 +445,21 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared: parse with it, never edit it."""
     parser = argparse.ArgumentParser(
         prog="blocksep",
         description="Count block-separated overpartitions by independent methods.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, handler, renderers) in COMMANDS.items():
+    for name, (help_text, _, renderers) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--limit", type=int, default=None, help="top weight n (default 10)")
         p.add_argument("--method", choices=METHOD_CHOICES, default=None)
-        p.add_argument("--format", choices=FORMAT_CHOICES, default=None)
+        p.add_argument("--format", default=None, help="one of " + ", ".join(renderers))
         p.add_argument("--cap-enum", type=int, default=None, dest="cap_enum",
                        help="override brute-force enumeration caps")
         p.add_argument("--output", default=None, help="write to file instead of stdout")
-        p.set_defaults(func=handler, formats=tuple(renderers))
     sub.choices["verify"].add_argument(
         "--inject-fault", action="store_true", default=False, dest="inject_fault",
         help="self-test: flip one coefficient, expect failure",
@@ -469,12 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    _, handler, renderers = COMMANDS[args.command]
     try:
-        cfg = _resolve_config(args)
-        if cfg.fmt not in args.formats:
-            raise UsageError(f"format {cfg.fmt!r} does not apply here; "
-                             f"use one of {args.formats}")
-        return args.func(cfg, args)
+        return handler(_resolve_config(args, tuple(renderers)), args)
     except (UsageError, CapExceededError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

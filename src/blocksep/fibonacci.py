@@ -87,18 +87,13 @@ def enumerate_decorations(r: int, *, cap: int = DEFAULT_ENUMERATION_CAP) -> list
             f"decoration enumeration for r={r} exceeds cap {cap}; "
             "raise the cap explicitly if you mean it"
         )
-    words: list[DecorationWord] = []
-
-    def grow(prefix: tuple[int, ...]) -> None:
-        if len(prefix) == r:
-            words.append(DecorationWord(prefix))
-            return
-        grow(prefix + (0,))
-        if not prefix or prefix[-1] == 0:
-            grow(prefix + (1,))
-
-    grow(())
-    return words
+    # grow every legal prefix by one letter at a time, 0 before 1, so the
+    # prefixes stay in lexicographic order
+    prefixes: list[tuple[int, ...]] = [()]
+    for _ in range(r):
+        prefixes = [p + (b,) for p in prefixes
+                    for b in ((0,) if p[-1:] == (1,) else (0, 1))]
+    return [DecorationWord(bits) for bits in prefixes]
 
 
 def fib_polynomial(r: int) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
 import errno
+import gc
 import io
 import json
 import os
@@ -472,6 +473,24 @@ class TestConfigPlumbing:
         assert code == 2 and out == ""
         assert "BLOCKSEP_INJECT_FAULT" in err
 
+    def test_inject_fault_env_read_by_verify_alone(self, capsys, monkeypatch):
+        monkeypatch.setenv("BLOCKSEP_INJECT_FAULT", "maybe")
+        assert run(capsys, "seq", "--limit", "3") == (0, "1 2 4 7\n", "")
+
+    @pytest.mark.parametrize("fmt, argv, env", [
+        ("xml", ["seq", "--format", "xml"], None),
+        ("xml", ["seq"], "xml"),
+        ("bfile", ["table", "--format", "bfile"], None),
+        ("bfile", ["table"], "bfile"),
+    ], ids=["flag", "env", "flag_other_command", "env_other_command"])
+    def test_bad_format_is_one_error_line(self, capsys, monkeypatch, fmt, argv, env):
+        if env:
+            monkeypatch.setenv("BLOCKSEP_FORMAT", env)
+        code, out, err = run(capsys, *argv, "--limit", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert repr(fmt) in err
+
     def test_negative_limit_rejected(self, capsys):
         code, _, err = run(capsys, "seq", "--limit", "-1")
         assert code == 2
@@ -485,3 +504,24 @@ class TestConfigPlumbing:
         with pytest.raises(SystemExit) as exc:
             main(["seq", "--bogus"])
         assert exc.value.code == 2
+
+
+class TestSharedParser:
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_main_leaves_no_cyclic_garbage(self, capsys):
+        cli.build_parser()  # argparse leaves garbage while it builds, once per process
+        gc.collect()
+        gc.disable()
+        try:
+            code = main(["seq", "--limit", "3"])
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert code == 0 and unreachable == 0
+
+    def test_inject_fault_does_not_leak_into_the_next_run(self, capsys):
+        assert run(capsys, "verify", "--limit", "10", "--inject-fault")[0] == 1
+        code, out, _ = run(capsys, "verify", "--limit", "10")
+        assert code == 0 and out.splitlines()[-1] == "result: pass"

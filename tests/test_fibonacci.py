@@ -1,3 +1,4 @@
+import gc
 import math
 
 import pytest
@@ -82,6 +83,16 @@ class TestEnumeration:
         with pytest.raises(CapExceededError):
             enumerate_decorations(26)
         assert len(enumerate_decorations(26, cap=26)) == fib(28)
+
+    def test_leaves_no_cyclic_garbage(self):
+        gc.collect()
+        gc.disable()
+        try:
+            enumerate_decorations(10)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0
 
 
 class TestFibPolynomial:
