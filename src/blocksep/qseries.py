@@ -94,21 +94,36 @@ class TruncatedSeries:
         return TruncatedSeries._raw(tuple(-c for c in self._coeffs))
 
     def __mul__(self, other: TruncatedSeries | int) -> TruncatedSeries:
+        """Cauchy product truncated at the order, by Kronecker substitution.
+
+        Each series becomes one integer with a byte-aligned w-bit slot per
+        coefficient, offset by h = 2^(w-1), and one big-int product does the
+        convolution. With n coefficients, A = max|a_i| and B = max|b_i|,
+        every |c_k| <= n*A*B, so w holds max(A, B, n*A*B) plus a sign bit
+        and a spare bit. A slot that reaches the spare bit at decode raises
+        OverflowError instead of returning a wrong series.
+        """
         if isinstance(other, int):
             return TruncatedSeries._raw(tuple(c * other for c in self._coeffs))
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_order(other)
-        # Schoolbook Cauchy product; exponents above the order are dropped.
         a, b = self._coeffs, other._coeffs
-        n = len(a)
-        out = [0] * n
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for k in range(i, n):
-                out[k] += ai * b[k - i]
-        return TruncatedSeries._raw(tuple(out))
+        width = _slot_bytes(a, b)
+        half, size = 1 << (8 * width - 1), width * len(a)
+        offsets = int.from_bytes((bytes(width - 1) + b"\x80") * len(a), "little")
+        packed_a, packed_b = (
+            int.from_bytes(b"".join((c + half).to_bytes(width, "little") for c in s), "little")
+            - offsets
+            for s in (a, b)
+        )
+        # Adding the offsets back and masking leaves c_k + h in slot k, k <= order.
+        raw = ((packed_a * packed_b + offsets) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+        slots = range(0, size, width)
+        out = tuple(int.from_bytes(raw[i : i + width], "little") - half for i in slots)
+        if any(abs(c) >= half >> 1 for c in out):
+            raise OverflowError(f"a product coefficient overflows its {8 * width}-bit slot")
+        return TruncatedSeries._raw(out)
 
     def __rmul__(self, other: int) -> TruncatedSeries:
         if isinstance(other, int):
@@ -117,8 +132,8 @@ class TruncatedSeries:
 
     # Specialized O(N) kernels for the factors of the transfer matrices and
     # the Euler product. Each is equivalent to a generic product with the
-    # corresponding constructor series (property-tested), just without the
-    # O(N^2) cost.
+    # corresponding constructor series (property-tested), in one pass over
+    # the coefficients instead of a full product.
 
     def shift(self, j: int) -> TruncatedSeries:
         """Multiply by q^j, dropping exponents beyond the order."""
@@ -155,6 +170,12 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({_poly_str(self._coeffs)!r})"
+
+
+def _slot_bytes(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Bytes per packed slot: max(A, B, n*A*B) plus a sign bit and a spare bit."""
+    top_a, top_b = max(map(abs, a)), max(map(abs, b))
+    return (max(top_a, top_b, len(a) * top_a * top_b).bit_length() + 2 + 7) // 8
 
 
 def _poly_str(coeffs: tuple[int, ...]) -> str:

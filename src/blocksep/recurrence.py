@@ -25,30 +25,38 @@ def iter_normalized_pairs(order: int) -> Iterator[StatePair]:
     """Yield the normalized pair after steps n = 0, 1, .., order.
 
     Step n only touches coefficients from q^n up, so the low-order part of
-    f0 + f1 freezes as the iteration proceeds. The pair is updated in place
-    over plain lists, as slices shifted by n; each yield is a snapshot.
+    f0 + f1 freezes as the iteration proceeds. Each yield is a snapshot of
+    the in-place scan; a negative order raises at the call.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    f0, f1 = [1] + [0] * order, [0] * (order + 1)
-    yield _snapshot(f0, f1)
-    for n in range(1, order + 1):
-        kept = order + 1 - n
-        old_f0, shifted_f1 = f0[:kept], f1[:kept]
-        f0[n:] = map(add, f0[n:], shifted_f1)
-        f1[n:] = map(add, f1[n:], map(sub, old_f0, shifted_f1))
-        yield _snapshot(f0, f1)
-
-
-def _snapshot(f0: list[int], f1: list[int]) -> StatePair:
-    return StatePair(TruncatedSeries._raw(tuple(f0)), TruncatedSeries._raw(tuple(f1)))
+    return map(_snapshot, _scan(order))
 
 
 def normalized_recurrence(order: int) -> StatePair:
     """The normalized pair after the full scan n = 1..order."""
-    for pair in iter_normalized_pairs(order):
+    for pair in _scan(order):
         pass
-    return pair
+    return _snapshot(pair)
+
+
+def _scan(order: int) -> Iterator[tuple[list[int], list[int]]]:
+    """Steps n = 0..order over two plain lists, updated in place as slices shifted by n."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    f0, f1 = [1] + [0] * order, [0] * (order + 1)
+
+    def step(n: int) -> tuple[list[int], list[int]]:
+        if n:
+            kept = order + 1 - n
+            old_f0, shifted_f1 = f0[:kept], f1[:kept]
+            f0[n:] = map(add, f0[n:], shifted_f1)
+            f1[n:] = map(add, f1[n:], map(sub, old_f0, shifted_f1))
+        return f0, f1
+
+    return map(step, range(order + 1))
+
+
+def _snapshot(pair: tuple[list[int], list[int]]) -> StatePair:
+    return StatePair(*(TruncatedSeries._raw(tuple(f)) for f in pair))
 
 
 def euler_factorized_gf(order: int) -> TruncatedSeries:

@@ -3,10 +3,26 @@
 Each multiplies an infinite product out factor by factor with the
 `TruncatedSeries` kernels, so it shares no code with the pentagonal
 recurrence or with the in-place list loops of the routes it is compared
-against.
+against. `schoolbook_product` is the term-by-term reference for the packed
+`*`.
 """
 
-from blocksep.qseries import one, zero
+from blocksep.qseries import TruncatedSeries, one, zero
+
+
+def schoolbook_product(a, b):
+    """Cauchy product of two series of one order; exponents above it are dropped."""
+    if a.order != b.order:
+        raise ValueError("order mismatch")
+    a, b = a.coeffs, b.coeffs
+    n = len(a)
+    out = [0] * n
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for k in range(i, n):
+            out[k] += ai * b[k - i]
+    return TruncatedSeries(out)
 
 
 def euler_product_inverse(order):

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blocksep import qseries
 from blocksep.qseries import (
     TruncatedSeries,
     euler_inverse,
@@ -12,7 +13,7 @@ from blocksep.qseries import (
     s_block,
     zero,
 )
-from series_folds import euler_product_inverse
+from series_folds import euler_product_inverse, schoolbook_product
 
 
 def series(*coeffs):
@@ -174,6 +175,56 @@ class TestKernels:
     def test_mul_s_block(self, single, j):
         (a,) = single
         assert a.mul_s_block(j) == a * s_block(j, a.order)
+
+
+# Two series of one order 0..64 with signed coefficients up to about 2^300,
+# some of them all zero.
+_BIG = 2**300
+_wide_pairs = st.integers(min_value=0, max_value=64).flatmap(
+    lambda n: st.tuples(
+        *(
+            st.one_of(
+                st.just(zero(n)),
+                st.lists(
+                    st.integers(min_value=-_BIG, max_value=_BIG), min_size=n + 1, max_size=n + 1
+                ).map(TruncatedSeries),
+            )
+            for _ in range(2)
+        )
+    )
+)
+
+
+class TestPackedProduct:
+    """The packed `*` against the term-by-term reference product."""
+
+    @given(_wide_pairs)
+    @settings(max_examples=150)
+    def test_matches_schoolbook(self, pair):
+        a, b = pair
+        assert a * b == schoolbook_product(a, b)
+
+    @pytest.mark.parametrize("order", [0, 1, 5, 64])
+    def test_zero_operand_next_to_huge_coefficients(self, order):
+        # The width must hold the inputs too, not just the product bound,
+        # which is 0 here.
+        huge = TruncatedSeries((-1) ** k * (_BIG + k) for k in range(order + 1))
+        assert huge * zero(order) == zero(order)
+        assert zero(order) * huge == zero(order)
+        assert huge * one(order) == huge
+
+    @pytest.mark.parametrize("a, b", [(0, 0), (1, -1), (-7, -9), (_BIG, -_BIG)])
+    def test_order_zero(self, a, b):
+        assert series(a) * series(b) == series(a * b)
+
+    def test_too_narrow_slot_raises_at_decode(self, monkeypatch):
+        # Coefficients 7 fit one byte, their product coefficients 49 (k+1)
+        # do not; the spare-bit check must catch that.
+        a = TruncatedSeries([7] * 8)
+        assert (a * a).coeffs == tuple(49 * (k + 1) for k in range(8))
+        monkeypatch.setattr(qseries, "_slot_bytes", lambda a, b: 1)
+        with pytest.raises(OverflowError, match="overflows its 8-bit slot"):
+            a * a
 
 
 class TestEulerInverse:

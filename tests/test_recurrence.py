@@ -53,6 +53,19 @@ class TestNormalizedRecurrence:
         with pytest.raises(ValueError):
             normalized_recurrence(-1)
 
+    def test_iter_rejects_negative_at_the_call(self):
+        with pytest.raises(ValueError):
+            iter_normalized_pairs(-1)
+
+    def test_full_scan_snapshots_once(self, monkeypatch):
+        from blocksep import recurrence
+
+        calls = []
+        snapshot = recurrence._snapshot
+        monkeypatch.setattr(recurrence, "_snapshot", lambda *a: calls.append(1) or snapshot(*a))
+        assert normalized_recurrence(30) == fold_normalized(30, 30)
+        assert len(calls) == 1
+
     def test_intermediate_f1_goes_negative(self):
         # pins the signed-coefficient requirement
         for n in range(3, 9):
