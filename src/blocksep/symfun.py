@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .fibonacci import fib, fib_polynomial
-from .qseries import TruncatedSeries
+from .qseries import TruncatedSeries, partition_numbers
 
 
 def max_block_count(order: int) -> int:
@@ -27,26 +27,32 @@ def max_block_count(order: int) -> int:
 def elementary_symmetric_series(r_max: int, order: int) -> list[TruncatedSeries]:
     """e_0 .. e_{r_max} of the block series S_1..S_order, truncated.
 
-    One triangular pass over plain lists: for each size j, e_r += e_{r-1} * S_j
-    with r descending so each size is used at most once per monomial. The
-    product t = e_{r-1} * S_j is fused into the update (t[k] = e_{r-1}[k-j] +
-    t[k-j]) and starts at k = j + r(r-1)/2, since e_{r-1} of sizes below j
-    vanishes below q^(r(r-1)/2). e_r with r(r+1)/2 > order comes out zero.
+    All ranks are packed into one int per power of q: ys[k] holds e_r[k] in
+    the w-bit slot r. Each size j multiplies by 1 + y*S_j with one strided
+    prefix sum t = ys_old * S_j (t[k] = ys_old[k-j] + t[k-j]) and one shifted
+    add ys[k] += t[k] << w. e_r[k] counts r-block skeletons of weight k, a
+    subset of the partitions of k, so e_r[k] <= p(k) <= p(order); the slots
+    only grow, so w is that bound's bit length plus a spare bit, and decode
+    raises OverflowError if a slot reaches the spare bit or bits sit above
+    the top rank. e_r with r(r+1)/2 > order comes out zero.
     """
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    n = order + 1
-    es = [[1] + [0] * order] + [[0] * n for _ in range(r_max)]
+    n, top = order + 1, max_block_count(order)
+    w = partition_numbers(order)[-1].bit_length() + 1
+    ys = [1] + [0] * order
     for j in range(1, n):
-        # e_r needs r distinct sizes <= j, so ranks above j stay zero
-        for r in range(min(r_max, j), 0, -1):
-            src, dst, t = es[r - 1], es[r], [0] * n
-            for k in range(j + r * (r - 1) // 2, n):
-                t[k] = src[k - j] + t[k - j]
-                dst[k] += t[k]
-    return [TruncatedSeries._raw(tuple(e)) for e in es]
+        t = [0] * j + ys[:n - j]
+        for k in range(j, n):
+            t[k] += t[k - j]
+            ys[k] += t[k] << w
+    mask, spare = (1 << w) - 1, 1 << (w - 1)
+    rows = [[y >> (r * w) & mask for r in range(max(top, r_max) + 1)] for y in ys]
+    if any(y >> ((top + 1) * w) for y in ys) or any(c & spare for row in rows for c in row):
+        raise OverflowError(f"e_r slot of {w} bits overflowed at order {order}")
+    return [TruncatedSeries._raw(e) for e in list(zip(*rows))[:r_max + 1]]
 
 
 def weighted_gf(order: int, weight: Callable[[int], int]) -> TruncatedSeries:

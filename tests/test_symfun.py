@@ -1,7 +1,8 @@
 import pytest
 
+from blocksep import symfun
 from blocksep.qseries import (TruncatedSeries, euler_inverse, one, overpartition_numbers,
-                              s_block, zero)
+                              partition_numbers, s_block, zero)
 from blocksep.recurrence import euler_factorized_gf
 from blocksep.symfun import (
     bivariate_gf,
@@ -65,8 +66,8 @@ class TestElementarySymmetric:
         assert elementary_symmetric_series(r_top, n) == direct
 
     def test_minimal_monomial(self):
-        # the lowest term of e_r is q^(1+2+..+r): the fused update's start
-        # index k = j + r(r-1)/2 relies on [q^k] e_{r-1} = 0 below r(r-1)/2
+        # the lowest term of e_r is q^(1+2+..+r): the packed table's decode
+        # relies on every rank above max_block_count(n) being zero
         n = 120
         es = elementary_symmetric_series(max_block_count(n), n)
         for r, e in enumerate(es):
@@ -83,6 +84,29 @@ class TestElementarySymmetric:
             for r_max in {max(top - 1, 0), top, top + 2}:
                 assert elementary_symmetric_series(r_max, n) == reference[:r_max + 1], \
                     (n, r_max)
+
+    def test_narrow_width_raises(self, monkeypatch):
+        # the slot width is read from p(order); at the width whose spare bit
+        # the largest e_r[k] reaches, and at every narrower one, decode must
+        # raise instead of returning a wrong table
+        for n in (5, 30, 120):
+            table = elementary_symmetric_series(max_block_count(n), n)
+            largest = max(max(e.coeffs) for e in table)
+            for w in range(2, largest.bit_length() + 1):
+                monkeypatch.setattr(symfun, "partition_numbers",
+                                    lambda order, w=w: [1 << (w - 2)] * (order + 1))
+                with pytest.raises(OverflowError):
+                    elementary_symmetric_series(max_block_count(n), n)
+            monkeypatch.undo()
+
+    def test_rank_sums_at_order_1000(self):
+        # sum_r e_r = 1/(q;q) and sum_r 2^r e_r = (-q;q)/(q;q), each against
+        # its own sparse reciprocal, far past the orders the folds reach
+        n = 1000
+        columns = list(zip(*(e.coeffs for e in elementary_symmetric_series(max_block_count(n), n))))
+        assert [sum(col) for col in columns] == partition_numbers(n)
+        assert [sum(c << r for r, c in enumerate(col)) for col in columns] == \
+            overpartition_numbers(n)
 
 
 class TestWeightedGF:
