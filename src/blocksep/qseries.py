@@ -2,14 +2,17 @@
 
 The routes return this type, and the literal matrix API and the tests'
 reference folds compute with its kernels; the routes themselves fold over
-plain lists of ints. A series is kept modulo q^(order+1); coefficients are
-Python ints, so all arithmetic is exact at any size.
+plain lists of ints. p(n), p~(n) and the recurrence route's Euler factor
+come from one in-place loop that divides a list by a sparse series. A
+series is kept modulo q^(order+1); coefficients are Python ints, so all
+arithmetic is exact at any size.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from itertools import count, takewhile
+from operator import add
 
 
 class TruncatedSeries:
@@ -94,36 +97,18 @@ class TruncatedSeries:
         return TruncatedSeries._raw(tuple(-c for c in self._coeffs))
 
     def __mul__(self, other: TruncatedSeries | int) -> TruncatedSeries:
-        """Cauchy product truncated at the order, by Kronecker substitution.
-
-        Each series becomes one integer with a byte-aligned w-bit slot per
-        coefficient, offset by h = 2^(w-1), and one big-int product does the
-        convolution. With n coefficients, A = max|a_i| and B = max|b_i|,
-        every |c_k| <= n*A*B, so w holds max(A, B, n*A*B) plus a sign bit
-        and a spare bit. A slot that reaches the spare bit at decode raises
-        OverflowError instead of returning a wrong series.
-        """
+        """Cauchy product truncated at the order; no route multiplies two series."""
         if isinstance(other, int):
             return TruncatedSeries._raw(tuple(c * other for c in self._coeffs))
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_order(other)
-        a, b = self._coeffs, other._coeffs
-        width = _slot_bytes(a, b)
-        half, size = 1 << (8 * width - 1), width * len(a)
-        offsets = int.from_bytes((bytes(width - 1) + b"\x80") * len(a), "little")
-        packed_a, packed_b = (
-            int.from_bytes(b"".join((c + half).to_bytes(width, "little") for c in s), "little")
-            - offsets
-            for s in (a, b)
-        )
-        # Adding the offsets back and masking leaves c_k + h in slot k, k <= order.
-        raw = ((packed_a * packed_b + offsets) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
-        slots = range(0, size, width)
-        out = tuple(int.from_bytes(raw[i : i + width], "little") - half for i in slots)
-        if any(abs(c) >= half >> 1 for c in out):
-            raise OverflowError(f"a product coefficient overflows its {8 * width}-bit slot")
-        return TruncatedSeries._raw(out)
+        b = other._coeffs
+        out = [0] * len(b)
+        for i, a in enumerate(self._coeffs):
+            if a:  # row i adds a * b[k - i] at q^k; map stops at the order
+                out[i:] = map(add, out[i:], (a * c for c in b))
+        return TruncatedSeries._raw(tuple(out))
 
     def __rmul__(self, other: int) -> TruncatedSeries:
         if isinstance(other, int):
@@ -170,12 +155,6 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({_poly_str(self._coeffs)!r})"
-
-
-def _slot_bytes(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """Bytes per packed slot: max(A, B, n*A*B) plus a sign bit and a spare bit."""
-    top_a, top_b = max(map(abs, a)), max(map(abs, b))
-    return (max(top_a, top_b, len(a) * top_a * top_b).bit_length() + 2 + 7) // 8
 
 
 def _poly_str(coeffs: tuple[int, ...]) -> str:
@@ -247,24 +226,24 @@ def s_block(j: int, order: int) -> TruncatedSeries:
     )
 
 
-def euler_inverse(order: int) -> TruncatedSeries:
-    """1 / prod_{j>=1} (1 - q^j) truncated; coefficient of q^n is p(n).
+def euler_inverse(order: int, numerator: TruncatedSeries | None = None) -> TruncatedSeries:
+    """numerator / prod_{j>=1} (1 - q^j) truncated; the numerator defaults to 1.
 
-    Computed by the pentagonal-number recurrence alone. A wrong p(n) does
-    not go unnoticed: the recurrence route multiplies by this series and
-    the matrix route does not, so `verify` reports them unequal.
+    With the default the coefficient of q^n is p(n). The recurrence route
+    divides its normalized total here, in the loop that also gives p and
+    p~. The matrix and symmetric routes never run that loop, so a fault in
+    it makes `verify` report the routes unequal.
     """
-    return TruncatedSeries._raw(tuple(partition_numbers(order)))
+    if numerator is None:
+        return TruncatedSeries._raw(tuple(partition_numbers(order)))
+    if numerator.order != order:
+        raise ValueError(f"numerator of order {numerator.order} at order {order}")
+    return TruncatedSeries._raw(tuple(_sparse_divide(numerator.coeffs, _pentagonal())))
 
 
 def partition_numbers(order: int) -> list[int]:
-    """p(0) .. p(order): the reciprocal of Euler's pentagonal series.
-
-    prod_{j>=1} (1 - q^j) = 1 - sum_{k>=1} (-1)^(k+1) (q^(k(3k-1)/2) + q^(k(3k+1)/2)).
-    """
-    return _sparse_reciprocal(
-        order, ((k * (3 * k + s) // 2, (-1) ** (k + 1)) for k in count(1) for s in (-1, 1))
-    )
+    """p(0) .. p(order): the reciprocal of Euler's pentagonal series."""
+    return _sparse_divide(one(order).coeffs, _pentagonal())
 
 
 def overpartition_numbers(order: int) -> list[int]:
@@ -272,20 +251,25 @@ def overpartition_numbers(order: int) -> list[int]:
 
     prod_{j>=1} (1 - q^j)/(1 + q^j) = 1 - sum_{k>=1} 2(-1)^(k+1) q^(k^2).
     """
-    return _sparse_reciprocal(order, ((k * k, 2 * (-1) ** (k + 1)) for k in count(1)))
+    return _sparse_divide(one(order).coeffs, ((k * k, 2 * (-1) ** (k + 1)) for k in count(1)))
 
 
-def _sparse_reciprocal(order: int, terms: Iterable[tuple[int, int]]) -> list[int]:
-    """f = 1 / (1 - sum c*q^g) over terms (g, c) with g ascending from 1.
+def _pentagonal() -> Iterator[tuple[int, int]]:
+    """Terms (g, c) of 1 - prod_{j>=1} (1 - q^j): g = k(3k -+ 1)/2, c = (-1)^(k+1), k >= 1."""
+    return ((k * (3 * k + s) // 2, (-1) ** (k + 1)) for k in count(1) for s in (-1, 1))
 
-    f[0] = 1 and f[n] = sum_{g <= n} c * f[n - g]; terms may be endless.
+
+def _sparse_divide(numerator: Iterable[int], terms: Iterable[tuple[int, int]]) -> list[int]:
+    """numerator / (1 - sum c*q^g) over terms (g, c) with g ascending from 1.
+
+    A copy f of the numerator gets f[n] += sum_{g <= n} c * f[n - g] for n
+    ascending; terms may be endless.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    f = list(numerator)
+    order = len(f) - 1
     terms = list(takewhile(lambda t: t[0] <= order, terms))
-    f = [1] + [0] * order
     for n in range(1, order + 1):
-        total = 0
+        total = f[n]
         for g, c in terms:
             if g > n:
                 break

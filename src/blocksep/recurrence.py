@@ -7,9 +7,9 @@ gives a pair whose update per step n is
     f0 <- f0 + q^n * f1
     f1 <- q^n * f0 + (1 - q^n) * f1
 
-and the counting series is 1/(q)_inf times the final f0 + f1. The f1
-iterates pick up negative coefficients along the way, which is why the
-series type is signed.
+and the counting series is the final f0 + f1 divided by (q)_inf, Euler's
+pentagonal series. The f1 iterates pick up negative coefficients along the
+way, which is why the series type is signed.
 """
 
 from __future__ import annotations
@@ -60,6 +60,5 @@ def _snapshot(pair: tuple[list[int], list[int]]) -> StatePair:
 
 
 def euler_factorized_gf(order: int) -> TruncatedSeries:
-    """Counting series via the Euler factorization, recurrence route."""
-    pair = normalized_recurrence(order)
-    return euler_inverse(order) * pair.total()
+    """Counting series, recurrence route: the normalized total divided by (q)_inf."""
+    return euler_inverse(order, normalized_recurrence(order).total())

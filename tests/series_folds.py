@@ -3,8 +3,8 @@
 Each multiplies an infinite product out factor by factor with the
 `TruncatedSeries` kernels, so it shares no code with the pentagonal
 recurrence or with the in-place list loops of the routes it is compared
-against. `schoolbook_product` is the term-by-term reference for the packed
-`*`.
+against. `schoolbook_product` is the term-by-term reference for `*` and
+for the division by the pentagonal series.
 """
 
 from blocksep.qseries import TruncatedSeries, one, zero

@@ -204,6 +204,10 @@ VERIFY_FAULTS = [
      {"bivariate_oracle": "n=5: column 0 entry 7 != p(5)=19",
       "sandwich": "n=5: lower bound not strict"}),
     (overpartitions_below_b_at_10, {"sandwich": "n=10: sandwich violated"}),
+    # p(7) raised where euler_inverse reads p; the recurrence route divides without p
+    (lambda mp: edit_result(mp, qseries, "partition_numbers",
+                            lambda p, order: p[:7] + [p[7] + 1] + p[8:]),
+     {"bivariate_oracle": "n=7: column 0 entry 15 != p(7)=16"}),
 ]
 
 
@@ -246,22 +250,26 @@ class TestVerify:
             assert sum(name in line for line in notes) == 1
 
     def test_wrong_partition_number_fails_cross_check(self, capsys, monkeypatch):
-        pentagonal = qseries.partition_numbers
+        # The division loop behind p, p~ and the recurrence route's Euler
+        # factor gains 1 at n = 7; the matrix and symmetric routes keep 47.
+        divide = qseries._sparse_divide
 
-        def off_by_one_at_7(order):
-            p = pentagonal(order)
-            p[7] += 1
-            return p
+        def off_by_one_at_7(numerator, terms):
+            f = list(numerator)
+            if len(f) > 7:
+                f[7] += 1
+            return divide(f, terms)
 
-        monkeypatch.setattr(qseries, "partition_numbers", off_by_one_at_7)
+        monkeypatch.setattr(qseries, "_sparse_divide", off_by_one_at_7)
         code, out, _ = run(capsys, "verify", "--limit", "30")
         assert code == 1
         (line,) = [s for s in out.splitlines() if "cross_method_equality" in s]
         assert ": fail (first difference at n=7" in line
+        assert "'recurrence': 48" in line and "'matrix': 47" in line
 
     @pytest.mark.parametrize("fault, failed", VERIFY_FAULTS, ids=[
         "count", "listing", "bivariate_moved", "bivariate_phantom_column", "row_sum",
-        "partition_number", "overpartition_bound"])
+        "partition_number", "overpartition_bound", "partition_table"])
     def test_each_fault_fails_only_its_checks(self, capsys, monkeypatch, fault, failed):
         fault(monkeypatch)
         code, out, err = run(capsys, "verify", "--limit", "30")

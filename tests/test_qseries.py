@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blocksep import qseries
 from blocksep.qseries import (
     TruncatedSeries,
     euler_inverse,
@@ -177,28 +176,33 @@ class TestKernels:
         assert a.mul_s_block(j) == a * s_block(j, a.order)
 
 
-# Two series of one order 0..64 with signed coefficients up to about 2^300,
-# some of them all zero.
+# One or two series of one order 0..64 with signed coefficients up to about
+# 2^300, some of them all zero.
 _BIG = 2**300
-_wide_pairs = st.integers(min_value=0, max_value=64).flatmap(
-    lambda n: st.tuples(
-        *(
-            st.one_of(
-                st.just(zero(n)),
-                st.lists(
-                    st.integers(min_value=-_BIG, max_value=_BIG), min_size=n + 1, max_size=n + 1
-                ).map(TruncatedSeries),
+
+
+def _wide_tuple(count):
+    return st.integers(min_value=0, max_value=64).flatmap(
+        lambda n: st.tuples(
+            *(
+                st.one_of(
+                    st.just(zero(n)),
+                    st.lists(
+                        st.integers(min_value=-_BIG, max_value=_BIG),
+                        min_size=n + 1,
+                        max_size=n + 1,
+                    ).map(TruncatedSeries),
+                )
+                for _ in range(count)
             )
-            for _ in range(2)
         )
     )
-)
 
 
 class TestPackedProduct:
-    """The packed `*` against the term-by-term reference product."""
+    """`*` against the term-by-term reference product."""
 
-    @given(_wide_pairs)
+    @given(_wide_tuple(2))
     @settings(max_examples=150)
     def test_matches_schoolbook(self, pair):
         a, b = pair
@@ -206,8 +210,6 @@ class TestPackedProduct:
 
     @pytest.mark.parametrize("order", [0, 1, 5, 64])
     def test_zero_operand_next_to_huge_coefficients(self, order):
-        # The width must hold the inputs too, not just the product bound,
-        # which is 0 here.
         huge = TruncatedSeries((-1) ** k * (_BIG + k) for k in range(order + 1))
         assert huge * zero(order) == zero(order)
         assert zero(order) * huge == zero(order)
@@ -216,15 +218,6 @@ class TestPackedProduct:
     @pytest.mark.parametrize("a, b", [(0, 0), (1, -1), (-7, -9), (_BIG, -_BIG)])
     def test_order_zero(self, a, b):
         assert series(a) * series(b) == series(a * b)
-
-    def test_too_narrow_slot_raises_at_decode(self, monkeypatch):
-        # Coefficients 7 fit one byte, their product coefficients 49 (k+1)
-        # do not; the spare-bit check must catch that.
-        a = TruncatedSeries([7] * 8)
-        assert (a * a).coeffs == tuple(49 * (k + 1) for k in range(8))
-        monkeypatch.setattr(qseries, "_slot_bytes", lambda a, b: 1)
-        with pytest.raises(OverflowError, match="overflows its 8-bit slot"):
-            a * a
 
 
 class TestEulerInverse:
@@ -240,6 +233,16 @@ class TestEulerInverse:
         for j in range(1, n + 1):
             euler_product = euler_product - euler_product.shift(j)
         assert euler_inverse(n) * euler_product == one(n)
+
+    @given(_wide_tuple(1))
+    @settings(max_examples=150)
+    def test_division_matches_product(self, single):
+        (f,) = single
+        assert euler_inverse(f.order, f) == schoolbook_product(euler_inverse(f.order), f)
+
+    def test_unit_numerator_gives_partition_numbers(self):
+        for n in range(65):
+            assert euler_inverse(n, one(n)) == euler_inverse(n), n
 
     def test_both_routes_agree_at_500(self):
         n = 500
@@ -276,8 +279,10 @@ def test_hash_follows_equality():
     lambda: s_block(1, -1),
     lambda: partition_numbers(-1),
     lambda: overpartition_numbers(-1),
+    lambda: euler_inverse(3, one(4)),
 ], ids=["shift", "mul_s_block", "zero", "one", "qpow_exponent", "qpow_order",
-        "geometric_inverse", "s_block", "partition_numbers", "overpartition_numbers"])
+        "geometric_inverse", "s_block", "partition_numbers", "overpartition_numbers",
+        "euler_inverse_numerator_order"])
 def test_rejects_bad_arguments(call):
     with pytest.raises(ValueError):
         call()
