@@ -4,7 +4,7 @@ Subcommands: seq, table, verify, decorations, bivariate, list. Every flag
 has an environment-variable twin prefixed BLOCKSEP_ (flags win). Exit
 status is 0 only when every requested computation and check succeeded;
 semantic usage problems and failures to write --output or stdout exit 2,
-failed verifications exit 1.
+failed verifications and a route's failed decode check exit 1.
 """
 
 from __future__ import annotations
@@ -476,6 +476,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, CapExceededError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except symfun.SlotOverflowError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

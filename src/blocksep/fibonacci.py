@@ -34,7 +34,7 @@ class DecorationWord:
 
     def __post_init__(self):
         for b in self.bits:
-            if b not in (0, 1):
+            if type(b) is not int or b not in (0, 1):
                 raise ValueError(f"bits must be 0 or 1, got {b!r}")
         for i in range(len(self.bits) - 1):
             if self.bits[i] == 1 and self.bits[i + 1] == 1:
@@ -113,6 +113,8 @@ def word_to_independent_set(w: DecorationWord) -> frozenset[int]:
 
 def independent_set_to_word(positions: frozenset[int] | set[int], r: int) -> DecorationWord:
     """Inverse of word_to_independent_set for words of length r."""
+    if r < 0:
+        raise ValueError("r must be nonnegative")
     for p in positions:
         if not 1 <= p <= r:
             raise ValueError(f"position {p} outside 1..{r}")

@@ -11,10 +11,12 @@ arithmetic is exact at any size.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 from itertools import count, takewhile
 from operator import add
 
 
+@dataclass(frozen=True, slots=True)
 class TruncatedSeries:
     """A formal power series truncated at a fixed order.
 
@@ -24,54 +26,42 @@ class TruncatedSeries:
     silent truncation mismatches are the classic q-series bug.
     """
 
-    __slots__ = ("_coeffs",)
+    coeffs: tuple[int, ...]  # q^0 .. q^N; any iterable of ints is accepted
 
-    def __init__(self, coeffs: Iterable[int]):
-        coeffs = tuple(coeffs)
+    def __post_init__(self):
+        coeffs = tuple(self.coeffs)
         if not coeffs:
             raise ValueError("need at least the q^0 coefficient")
         for c in coeffs:
             if not isinstance(c, int):
                 raise TypeError(f"coefficients must be int, got {type(c).__name__}")
-        self._coeffs = coeffs
-
-    @classmethod
-    def _raw(cls, coeffs: tuple[int, ...]) -> TruncatedSeries:
-        # Fast path for internal use: skips validation.
-        s = object.__new__(cls)
-        s._coeffs = coeffs
-        return s
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def order(self) -> int:
         """Highest retained exponent N."""
-        return len(self._coeffs) - 1
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        """Coefficients of q^0 .. q^N."""
-        return self._coeffs
+        return len(self.coeffs) - 1
 
     def coefficient(self, k: int) -> int:
         """Coefficient of q^k; k must not exceed the truncation order."""
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient of q^{k} unknown at order {self.order}")
-        return self._coeffs[k]
+        return self.coeffs[k]
 
     def __getitem__(self, k: int) -> int:
         return self.coefficient(k)
 
     def is_zero(self) -> bool:
-        return not any(self._coeffs)
+        return not any(self.coeffs)
 
     def truncate(self, new_order: int) -> TruncatedSeries:
         """Drop coefficients above new_order (which must not exceed order)."""
         if not 0 <= new_order <= self.order:
             raise ValueError(f"cannot truncate order {self.order} to {new_order}")
-        return TruncatedSeries._raw(self._coeffs[: new_order + 1])
+        return TruncatedSeries(self.coeffs[: new_order + 1])
 
     def _check_order(self, other: TruncatedSeries) -> None:
-        if len(self._coeffs) != len(other._coeffs):
+        if len(self.coeffs) != len(other.coeffs):
             raise ValueError(
                 f"order mismatch: {self.order} vs {other.order}; "
                 "truncate explicitly before mixing orders"
@@ -81,54 +71,49 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_order(other)
-        return TruncatedSeries._raw(
-            tuple(a + b for a, b in zip(self._coeffs, other._coeffs))
-        )
+        return TruncatedSeries(a + b for a, b in zip(self.coeffs, other.coeffs))
 
     def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_order(other)
-        return TruncatedSeries._raw(
-            tuple(a - b for a, b in zip(self._coeffs, other._coeffs))
-        )
+        return TruncatedSeries(a - b for a, b in zip(self.coeffs, other.coeffs))
 
     def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries._raw(tuple(-c for c in self._coeffs))
+        return TruncatedSeries(-c for c in self.coeffs)
 
     def __mul__(self, other: TruncatedSeries | int) -> TruncatedSeries:
         """Cauchy product truncated at the order; no route multiplies two series."""
         if isinstance(other, int):
-            return TruncatedSeries._raw(tuple(c * other for c in self._coeffs))
+            return TruncatedSeries(c * other for c in self.coeffs)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_order(other)
-        b = other._coeffs
+        b = other.coeffs
         out = [0] * len(b)
-        for i, a in enumerate(self._coeffs):
+        for i, a in enumerate(self.coeffs):
             if a:  # row i adds a * b[k - i] at q^k; map stops at the order
                 out[i:] = map(add, out[i:], (a * c for c in b))
-        return TruncatedSeries._raw(tuple(out))
+        return TruncatedSeries(out)
 
     def __rmul__(self, other: int) -> TruncatedSeries:
         if isinstance(other, int):
             return self.__mul__(other)
         return NotImplemented
 
-    # Specialized O(N) kernels for the factors of the transfer matrices and
-    # the Euler product. Each is equivalent to a generic product with the
-    # corresponding constructor series (property-tested), in one pass over
-    # the coefficients instead of a full product.
+    # O(N) kernels for the factors of the transfer matrices, each equal to
+    # the generic product with its constructor series (property-tested). No
+    # route calls them: they are public API and the tests' reference folds.
 
     def shift(self, j: int) -> TruncatedSeries:
         """Multiply by q^j, dropping exponents beyond the order."""
         if j < 0:
             raise ValueError("shift amount must be nonnegative")
-        c = self._coeffs
+        c = self.coeffs
         n = len(c)
         if j >= n:
-            return TruncatedSeries._raw((0,) * n)
-        return TruncatedSeries._raw((0,) * j + c[: n - j])
+            return TruncatedSeries((0,) * n)
+        return TruncatedSeries((0,) * j + c[: n - j])
 
     def mul_geometric_inverse(self, j: int) -> TruncatedSeries:
         """Multiply by 1/(1 - q^j) = 1 + S_j."""
@@ -138,23 +123,15 @@ class TruncatedSeries:
         """Multiply by q^j/(1 - q^j): out[k] = c[k-j] + out[k-j]."""
         if j < 1:
             raise ValueError("j must be a positive part size")
-        c = self._coeffs
+        c = self.coeffs
         n = len(c)
         out = [0] * n
         for k in range(j, n):
             out[k] = c[k - j] + out[k - j]
-        return TruncatedSeries._raw(tuple(out))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return TruncatedSeries(out)
 
     def __repr__(self) -> str:
-        return f"TruncatedSeries({_poly_str(self._coeffs)!r})"
+        return f"TruncatedSeries({_poly_str(self.coeffs)!r})"
 
 
 def _poly_str(coeffs: tuple[int, ...]) -> str:
@@ -179,14 +156,14 @@ def zero(order: int) -> TruncatedSeries:
     """The zero series at the given order."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return TruncatedSeries._raw((0,) * (order + 1))
+    return TruncatedSeries((0,) * (order + 1))
 
 
 def one(order: int) -> TruncatedSeries:
     """The constant series 1 at the given order."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return TruncatedSeries._raw((1,) + (0,) * order)
+    return TruncatedSeries((1,) + (0,) * order)
 
 
 def qpow(k: int, order: int) -> TruncatedSeries:
@@ -198,7 +175,7 @@ def qpow(k: int, order: int) -> TruncatedSeries:
     c = [0] * (order + 1)
     if k <= order:
         c[k] = 1
-    return TruncatedSeries._raw(tuple(c))
+    return TruncatedSeries(c)
 
 
 def geometric_inverse(j: int, order: int) -> TruncatedSeries:
@@ -207,9 +184,7 @@ def geometric_inverse(j: int, order: int) -> TruncatedSeries:
         raise ValueError("j must be a positive part size")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return TruncatedSeries._raw(
-        tuple(1 if k % j == 0 else 0 for k in range(order + 1))
-    )
+    return TruncatedSeries(1 if k % j == 0 else 0 for k in range(order + 1))
 
 
 def s_block(j: int, order: int) -> TruncatedSeries:
@@ -221,9 +196,7 @@ def s_block(j: int, order: int) -> TruncatedSeries:
         raise ValueError("j must be a positive part size")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    return TruncatedSeries._raw(
-        tuple(1 if k >= j and k % j == 0 else 0 for k in range(order + 1))
-    )
+    return TruncatedSeries(1 if k >= j and k % j == 0 else 0 for k in range(order + 1))
 
 
 def euler_inverse(order: int, numerator: TruncatedSeries | None = None) -> TruncatedSeries:
@@ -231,14 +204,15 @@ def euler_inverse(order: int, numerator: TruncatedSeries | None = None) -> Trunc
 
     With the default the coefficient of q^n is p(n). The recurrence route
     divides its normalized total here, in the loop that also gives p and
-    p~. The matrix and symmetric routes never run that loop, so a fault in
-    it makes `verify` report the routes unequal.
+    p~. The matrix route never runs that loop; the symmetric route runs it
+    once, for p(order), to size its e_r slots, so a fault in it can only
+    make that route raise at decode, never return a wrong value.
     """
     if numerator is None:
-        return TruncatedSeries._raw(tuple(partition_numbers(order)))
+        return TruncatedSeries(partition_numbers(order))
     if numerator.order != order:
         raise ValueError(f"numerator of order {numerator.order} at order {order}")
-    return TruncatedSeries._raw(tuple(_sparse_divide(numerator.coeffs, _pentagonal())))
+    return TruncatedSeries(_sparse_divide(numerator.coeffs, _pentagonal()))
 
 
 def partition_numbers(order: int) -> list[int]:

@@ -56,7 +56,7 @@ def _scan(order: int) -> Iterator[tuple[list[int], list[int]]]:
 
 
 def _snapshot(pair: tuple[list[int], list[int]]) -> StatePair:
-    return StatePair(*(TruncatedSeries._raw(tuple(f)) for f in pair))
+    return StatePair(*map(TruncatedSeries, pair))
 
 
 def euler_factorized_gf(order: int) -> TruncatedSeries:

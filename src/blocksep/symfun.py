@@ -14,6 +14,10 @@ from .fibonacci import fib, fib_polynomial
 from .qseries import TruncatedSeries, partition_numbers
 
 
+class SlotOverflowError(OverflowError):
+    """The e_r table's decode check failed: a packed slot outgrew its width."""
+
+
 def max_block_count(order: int) -> int:
     """Largest r whose minimal skeleton 1+2+..+r still fits: r(r+1)/2 <= order."""
     if order < 0:
@@ -33,7 +37,7 @@ def elementary_symmetric_series(r_max: int, order: int) -> list[TruncatedSeries]
     add ys[k] += t[k] << w. e_r[k] counts r-block skeletons of weight k, a
     subset of the partitions of k, so e_r[k] <= p(k) <= p(order); the slots
     only grow, so w is that bound's bit length plus a spare bit, and decode
-    raises OverflowError if a slot reaches the spare bit or bits sit above
+    raises SlotOverflowError if a slot reaches the spare bit or bits sit above
     the top rank. e_r with r(r+1)/2 > order comes out zero.
     """
     if r_max < 0:
@@ -51,8 +55,8 @@ def elementary_symmetric_series(r_max: int, order: int) -> list[TruncatedSeries]
     mask, spare = (1 << w) - 1, 1 << (w - 1)
     rows = [[y >> (r * w) & mask for r in range(max(top, r_max) + 1)] for y in ys]
     if any(y >> ((top + 1) * w) for y in ys) or any(c & spare for row in rows for c in row):
-        raise OverflowError(f"e_r slot of {w} bits overflowed at order {order}")
-    return [TruncatedSeries._raw(e) for e in list(zip(*rows))[:r_max + 1]]
+        raise SlotOverflowError(f"e_r slot of {w} bits overflowed at order {order}")
+    return [TruncatedSeries(e) for e in list(zip(*rows))[:r_max + 1]]
 
 
 def weighted_gf(order: int, weight: Callable[[int], int]) -> TruncatedSeries:
@@ -62,7 +66,7 @@ def weighted_gf(order: int, weight: Callable[[int], int]) -> TruncatedSeries:
     for r, e in enumerate(es):
         w = weight(r)
         acc = [a + w * c for a, c in zip(acc, e.coeffs)]
-    return TruncatedSeries._raw(tuple(acc))
+    return TruncatedSeries(acc)
 
 
 def fibonacci_weighted_gf(order: int) -> TruncatedSeries:

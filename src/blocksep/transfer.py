@@ -128,4 +128,4 @@ def matrix_product_gf(order: int) -> TruncatedSeries:
         for k in range(j, n):
             f0[k] += a[k] + b[k]
             f1[k] += a[k]
-    return TruncatedSeries._raw(tuple(map(add, f0, f1)))
+    return TruncatedSeries(map(add, f0, f1))

@@ -267,6 +267,17 @@ class TestVerify:
         assert ": fail (first difference at n=7" in line
         assert "'recurrence': 48" in line and "'matrix': 47" in line
 
+    @pytest.mark.parametrize("argv", [("verify",), ("seq", "--method", "symmetric")])
+    def test_e_r_decode_fault_is_one_error_line(self, capsys, monkeypatch, argv):
+        # p(order) sizes the e_r slots, so a division loop that lowers it
+        # makes the symmetric route's decode check raise at order 30.
+        divide = qseries._sparse_divide
+        monkeypatch.setattr(qseries, "_sparse_divide",
+                            lambda numerator, terms: divide(numerator, terms)[:-1] + [1])
+        code, out, err = run(capsys, *argv, "--limit", "30")
+        assert (code, out) == (1, "")
+        assert err == "error: e_r slot of 2 bits overflowed at order 30\n"
+
     @pytest.mark.parametrize("fault, failed", VERIFY_FAULTS, ids=[
         "count", "listing", "bivariate_moved", "bivariate_phantom_column", "row_sum",
         "partition_number", "overpartition_bound", "partition_table"])

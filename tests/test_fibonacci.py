@@ -215,7 +215,10 @@ class TestTilings:
     lambda: decoration_count(-1),
     lambda: enumerate_decorations(-1),
     lambda: fib_polynomial(-1),
-], ids=["decoration_count", "enumerate_decorations", "fib_polynomial"])
+    lambda: DecorationWord((True, False)),
+    lambda: independent_set_to_word(frozenset(), -2),
+], ids=["decoration_count", "enumerate_decorations", "fib_polynomial", "DecorationWord",
+        "independent_set_to_word"])
 def test_rejects_bad_arguments(call):
     with pytest.raises(ValueError):
         call()

@@ -5,9 +5,12 @@ triangle a tuple of tuples, so no caller can see or change a route's
 working lists.
 """
 
+import pytest
+
 from blocksep.qseries import TruncatedSeries
-from blocksep.recurrence import iter_normalized_pairs, normalized_recurrence
-from blocksep.symfun import bivariate_gf, elementary_symmetric_series, weighted_gf
+from blocksep.recurrence import euler_factorized_gf, iter_normalized_pairs, normalized_recurrence
+from blocksep.symfun import (bivariate_gf, elementary_symmetric_series, fibonacci_weighted_gf,
+                             weighted_gf)
 from blocksep.transfer import StatePair, matrix_product_gf
 
 
@@ -15,6 +18,19 @@ def assert_series(s, order):
     assert type(s) is TruncatedSeries
     assert type(s.coeffs) is tuple and len(s.coeffs) == order + 1
     assert all(type(c) is int for c in s.coeffs)
+
+
+@pytest.mark.parametrize("route", [matrix_product_gf, euler_factorized_gf,
+                                   fibonacci_weighted_gf])
+@pytest.mark.parametrize("attr", ["coeffs", "_coeffs", "extra"])
+def test_route_result_is_immutable(route, attr):
+    s = route(5)
+    coeffs, h = s.coeffs, hash(s)
+    # Python 3.11 raises TypeError, not FrozenInstanceError, for a new
+    # attribute on a frozen dataclass with slots.
+    with pytest.raises((AttributeError, TypeError)):
+        setattr(s, attr, (9, 9, 9))
+    assert s.coeffs is coeffs and hash(s) == h
 
 
 def test_matrix_product_gf():
