@@ -91,8 +91,8 @@ def _resolve_config(args: argparse.Namespace, formats: tuple[str, ...]) -> RunCo
     limit = args.limit if args.limit is not None else _int_env("LIMIT")
     if limit is None:
         limit = 10
-    if limit < 0:
-        raise UsageError("--limit must be nonnegative")
+    if not 0 <= limit < sys.maxsize:
+        raise UsageError(f"--limit must be in 0..{sys.maxsize - 1}, got {limit}")
 
     method = args.method or _env("METHOD") or "matrix"
     if method not in METHOD_CHOICES:

@@ -1,14 +1,15 @@
 """Two-state transfer-matrix route to the counting series.
 
-Part sizes are scanned in increasing order; at each size j the choices
-absent / present-plain / present-overlined are encoded in a 2x2 matrix
-over truncated series. State 0 means the last present block is plain,
-state 1 that it is overlined (which forbids overlining the next block).
+At each part size j the choices absent / present-plain / present-overlined
+are encoded in a 2x2 matrix over truncated series. State 0 means the last
+present block is plain, state 1 that it is overlined (which forbids
+overlining the next block).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import add
 
 from .qseries import TruncatedSeries, geometric_inverse, one, qpow, s_block, zero
@@ -109,23 +110,29 @@ def apply_matrix(v: StatePair, m: TransferMatrix) -> StatePair:
 def matrix_product_gf(order: int) -> TruncatedSeries:
     """Counting series of block-separated overpartitions, matrix route.
 
-    Folds (1, 0) through the transfer matrices for j = 1..order in
-    increasing j (the matrices do not commute) and sums the final states.
-    Sizes beyond the order contribute identity factors, so the cutoff at
-    j = order is exact. The fold runs in place over plain lists: with
-    a = f0 * S_j and b = f1 * S_j (a[k] = f0[k-j] + a[k-j]) taken from the
-    old values, the update is f0 += a + b, f1 += a.
+    Folds (1, 0) through the transfer matrices for j = 1..order and sums
+    the final states. Each matrix is I + S_j*F with F = [[1, 1], [1, 0]],
+    so they commute and increasing j is a choice. Sizes beyond the order
+    contribute identity factors, so the cutoff at j = order is exact.
+
+    Each size j <= h = order // 2 is one ascending pass in place over
+    plain lists. With a = f0*S_j and b = f1*S_j of the old values, the
+    update f0 += a + b, f1 += a reads f0[k] += f1_old[k-j] + f0[k-j] and
+    f1[k] += f0_old[k-j] - f1_old[k-j] + f1[k-j], because
+    a[k] = f0_old[k-j] + a[k-j] and a[k-j] = f1[k-j] - f1_old[k-j].
+    For j > h, S_j = q^j mod q^(order+1) and any two such terms multiply
+    to zero, so those sizes fold to I + T*F with T = q^(h+1) + ... + q^order:
+    one prefix sum per state, reading only indices <= h.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    n = order + 1
+    n, h = order + 1, order // 2
     f0, f1 = [1] + [0] * order, [0] * n
-    for j in range(1, n):
-        a, b = [0] * n, [0] * n
-        for k in range(j, n):
-            a[k] = f0[k - j] + a[k - j]
-            b[k] = f1[k - j] + b[k - j]
-        for k in range(j, n):
-            f0[k] += a[k] + b[k]
-            f1[k] += a[k]
+    for j in range(1, h + 1):
+        for k, g0, g1 in zip(range(j, n), f0[:n - j], f1[:n - j]):
+            f0[k] += g1 + f0[k - j]
+            f1[k] += g0 - g1 + f1[k - j]
+    m = order - h
+    f1[h + 1:] = map(add, f1[h + 1:], accumulate(f0[:m]))
+    f0[h + 1:] = map(add, f0[h + 1:], accumulate(map(add, f0[:m], f1[:m])))
     return TruncatedSeries(map(add, f0, f1))

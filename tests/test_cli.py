@@ -514,6 +514,18 @@ class TestConfigPlumbing:
         code, _, err = run(capsys, "seq", "--limit", "-1")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["seq", "table", "verify", "bivariate"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_limit_beyond_index_range_is_one_error_line(
+            self, capsys, monkeypatch, command, source):
+        limit = str(sys.maxsize)
+        if source == "env":
+            monkeypatch.setenv("BLOCKSEP_LIMIT", limit)
+        argv = [command] + (["--limit", limit] if source == "flag" else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "verify", "--limit", "15", "--format", "json")
         _, second, _ = run(capsys, "verify", "--limit", "15", "--format", "json")

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from blocksep.qseries import TruncatedSeries, euler_inverse, one, qpow, s_block, zero
+from blocksep.recurrence import euler_factorized_gf
 from blocksep.transfer import (
     StatePair,
     TransferMatrix,
@@ -122,8 +125,28 @@ class TestMatrixProductGF:
         assert matrix_product_gf(0) == one(0)
 
     def test_agrees_with_generic_fold(self):
-        for n in (0, 1, 2, 5, 13, 17, 40, 90):
+        # both parities of h = n // 2, and every j = h / h + 1 boundary
+        for n in range(65):
             assert matrix_product_gf(n) == fold(n, range(1, n + 1)).total()
+
+    def test_matrices_commute(self):
+        n = 30
+        js = list(range(1, n + 1))
+        random.Random(13).shuffle(js)
+        assert fold(n, js).total() == matrix_product_gf(n)
+
+    @pytest.mark.parametrize("n", [20, 21])
+    def test_tail_sizes_fold_to_one_step(self, n):
+        # for j > n // 2, prod M_j = I + T*F with T = q^(h+1) + ... + q^n
+        v = StatePair(series(*range(1, n + 2)), series(*range(n + 1, 0, -1)))
+        tail = v
+        for j in range(n // 2 + 1, n + 1):
+            tail = apply_matrix(tail, transfer_matrix(j, n))
+        t = sum((qpow(j, n) for j in range(n // 2 + 1, n + 1)), zero(n))
+        assert tail == StatePair(v.f0 + t * (v.f0 + v.f1), v.f1 + t * v.f0)
+
+    def test_agrees_with_recurrence_route_at_1201(self):
+        assert matrix_product_gf(1201) == euler_factorized_gf(1201)
 
     def test_cutoff_soundness(self):
         # extending the scan past j = N multiplies by identities only
