@@ -17,7 +17,7 @@ import io
 import json
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 
 from . import bruteforce, fibonacci, recurrence, symfun, transfer
@@ -54,61 +54,56 @@ class UsageError(Exception):
 class RunConfig:
     limit: int
     method: str
-    fmt: str
+    format: str
     cap_enum: int | None
     output: str | None
-    inject_fault: bool
+    inject_fault: bool = False
 
     def cap(self, default: int) -> int:
         """An enumeration cap or oracle window: --cap-enum if given, else default."""
         return default if self.cap_enum is None else self.cap_enum
 
 
-def _env(name: str) -> str | None:
-    return os.environ.get(ENV_PREFIX + name)
+def _count(text: str) -> int:
+    """A nonnegative int small enough to size a list with."""
+    with contextlib.suppress(ValueError):
+        if 0 <= (value := int(text)) < sys.maxsize:
+            return value
+    raise ValueError(f"must be an integer in 0..{sys.maxsize - 1}; got {text!r}")
 
 
-def _int_env(name: str) -> int | None:
-    raw = _env(name)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{ENV_PREFIX}{name} must be an integer, got {raw!r}")
+def _word(kind: str, words: Collection[str], text: str) -> str:
+    if text not in words:
+        raise ValueError(f"must be {kind}, one of {', '.join(words)}; got {text!r}")
+    return text
 
 
-def _bool_env(name: str) -> bool:
-    raw = _env(name)
-    word = "0" if raw is None else raw.strip().lower()
-    if word not in TRUE_WORDS + FALSE_WORDS:
-        raise UsageError(f"{ENV_PREFIX}{name} must be {'/'.join(TRUE_WORDS)} or "
-                         f"{'/'.join(FALSE_WORDS)}, got {raw!r}")
-    return word in TRUE_WORDS
+def _switch(text: str) -> bool:
+    return _word("yes or no", TRUE_WORDS + FALSE_WORDS, text.strip().lower()) in TRUE_WORDS
 
 
-def _resolve_config(args: argparse.Namespace, formats: tuple[str, ...]) -> RunConfig:
-    limit = args.limit if args.limit is not None else _int_env("LIMIT")
-    if limit is None:
-        limit = 10
-    if not 0 <= limit < sys.maxsize:
-        raise UsageError(f"--limit must be in 0..{sys.maxsize - 1}, got {limit}")
-
-    method = args.method or _env("METHOD") or "matrix"
-    if method not in METHOD_CHOICES:
-        raise UsageError(f"unknown method {method!r}; choose from {METHOD_CHOICES}")
-
-    fmt = args.format or _env("FORMAT") or "plain"
-    if fmt not in formats:
-        raise UsageError(f"{args.command} has no format {fmt!r}; choose from {formats}")
-
-    cap_enum = args.cap_enum if args.cap_enum is not None else _int_env("CAP_ENUM")
-    if cap_enum is not None and cap_enum < 0:
-        raise UsageError("--cap-enum must be nonnegative")
-
-    output = args.output or _env("OUTPUT")
-    inject = args.command == "verify" and (args.inject_fault or _bool_env("INJECT_FAULT"))
-    return RunConfig(limit, method, fmt, cap_enum, output, inject)
+def _resolve_config(args: argparse.Namespace, formats: Collection[str]) -> RunConfig:
+    """Each setting the command has, from its flag, else its BLOCKSEP_ twin, else its
+    default; both arrive as text, and a bad one is a UsageError naming its source."""
+    settings = {  # name -> (default, parse of the text)
+        "limit": (10, _count),
+        "method": ("matrix", functools.partial(_word, "a method", METHOD_CHOICES)),
+        "format": ("plain", functools.partial(_word, f"a {args.command} format", formats)),
+        "cap_enum": (None, _count),
+        "output": (None, str),  # empty text means stdout
+        "inject_fault": (False, _switch),
+    }
+    given, resolved = vars(args), {}
+    for name, (default, parse) in settings.items():
+        if name in given:
+            from_flag = given[name] is not None
+            source = "--" + name.replace("_", "-") if from_flag else ENV_PREFIX + name.upper()
+            text = given[name] if from_flag else os.environ.get(source)
+            try:
+                resolved[name] = default if text is None else parse(text)
+            except ValueError as exc:
+                raise UsageError(f"{source} {exc}") from None
+    return RunConfig(**resolved)
 
 
 def _emit(cfg: RunConfig, renderers: dict, *data) -> int:
@@ -117,7 +112,7 @@ def _emit(cfg: RunConfig, renderers: dict, *data) -> int:
     An --output that exists and is not a regular file (a FIFO, a device) is
     written directly: renaming a temporary file over it would replace it.
     """
-    text = renderers[cfg.fmt](cfg, *data)
+    text = renderers[cfg.format](cfg, *data)
     try:
         if not cfg.output:
             sys.stdout.write(text)
@@ -454,16 +449,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, renderers) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--limit", type=int, default=None, help="top weight n (default 10)")
-        p.add_argument("--method", choices=METHOD_CHOICES, default=None)
-        p.add_argument("--format", default=None, help="one of " + ", ".join(renderers))
-        p.add_argument("--cap-enum", type=int, default=None, dest="cap_enum",
-                       help="override brute-force enumeration caps")
-        p.add_argument("--output", default=None, help="write to file instead of stdout")
-    sub.choices["verify"].add_argument(
-        "--inject-fault", action="store_true", default=False, dest="inject_fault",
-        help="self-test: flip one coefficient, expect failure",
-    )
+        p.add_argument("--limit", help="top weight n (default 10)")
+        p.add_argument("--method", help="one of " + ", ".join(METHOD_CHOICES))
+        p.add_argument("--format", help="one of " + ", ".join(renderers))
+        p.add_argument("--cap-enum", help="override brute-force enumeration caps")
+        p.add_argument("--output", help="write to file instead of stdout")
+    sub.choices["verify"].add_argument("--inject-fault", nargs="?", const="yes", metavar="yes/no",
+                                       help="self-test: flip one coefficient, expect failure")
     sub.choices["decorations"].add_argument("r", type=int, help="number of blocks")
     return parser
 
@@ -472,9 +464,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     _, handler, renderers = COMMANDS[args.command]
     try:
-        return handler(_resolve_config(args, tuple(renderers)), args)
-    except (UsageError, CapExceededError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        return handler(_resolve_config(args, renderers), args)
+    except (UsageError, CapExceededError, MemoryError) as exc:  # MemoryError: too big a limit
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return EXIT_USAGE
     except symfun.SlotOverflowError as exc:
         sys.stderr.write(f"error: {exc}\n")

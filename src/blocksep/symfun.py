@@ -8,6 +8,7 @@ blocks replaces F_{r+2} with the coefficients C(r-m+1, m).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 from .fibonacci import fib, fib_polynomial
@@ -22,10 +23,7 @@ def max_block_count(order: int) -> int:
     """Largest r whose minimal skeleton 1+2+..+r still fits: r(r+1)/2 <= order."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    r = 0
-    while (r + 1) * (r + 2) // 2 <= order:
-        r += 1
-    return r
+    return (math.isqrt(8 * order + 1) - 1) // 2
 
 
 def elementary_symmetric_series(r_max: int, order: int) -> list[TruncatedSeries]:

@@ -526,6 +526,51 @@ class TestConfigPlumbing:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command, setting, value", [
+        *[("seq", setting, value) for setting in ("limit", "cap_enum")
+          for value in ("ten", "-1", str(sys.maxsize), str(10**19), "")],
+        ("seq", "method", "magic"), ("seq", "method", ""), ("seq", "format", ""),
+        ("verify", "inject_fault", "maybe"), ("verify", "inject_fault", ""),
+    ])
+    def test_bad_value_is_the_same_line_from_flag_and_env(
+            self, capsys, monkeypatch, command, setting, value):
+        flag, twin = "--" + setting.replace("_", "-"), "BLOCKSEP_" + setting.upper()
+        lines = {}
+        for source, other in [(flag, twin), (twin, flag)]:
+            with monkeypatch.context() as m:
+                if source == twin:
+                    m.setenv(twin, value)
+                code, out, err = run(capsys, command, *([flag, value] if source == flag else []))
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: {source} ") and len(err.splitlines()) == 1
+            assert other not in err
+            lines[source] = err.replace(source, "<source>")
+        assert lines[flag] == lines[twin]
+
+    @pytest.mark.parametrize("command", ["seq", "table", "verify", "bivariate"])
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch, command):
+        def exhausted(*_args):
+            raise MemoryError
+
+        monkeypatch.setitem(cli.SERIES_METHODS, "matrix", exhausted)
+        monkeypatch.setattr(symfun, "bivariate_gf", exhausted)
+        assert run(capsys, command) == (2, "", "error: out of memory\n")
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")
+    @pytest.mark.parametrize("command", ["seq", "table", "verify", "bivariate"])
+    def test_limit_beyond_memory_is_one_error_line(self, command):
+        # the child caps its own address space first, so a route that does
+        # try to fill a list this long fails at 1 GiB, not at the host's limit
+        src = str(Path(cli.__file__).resolve().parents[1])
+        child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30,) * 2); "
+                 "from blocksep.cli import main; sys.exit(main(sys.argv[1:]))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", child, command, "--limit", str(sys.maxsize - 1)],
+            capture_output=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"error: out of memory\n")
+
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "verify", "--limit", "15", "--format", "json")
         _, second, _ = run(capsys, "verify", "--limit", "15", "--format", "json")

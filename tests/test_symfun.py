@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from blocksep import symfun
@@ -28,9 +30,14 @@ class TestMaxBlockCount:
         assert max_block_count(300) == 24
 
     def test_bound_is_tight(self):
-        for n in range(80):
+        for n in range(3001):
             r = max_block_count(n)
             assert r * (r + 1) // 2 <= n < (r + 1) * (r + 2) // 2
+
+    @pytest.mark.parametrize("n", [sys.maxsize - 1, 10**40 - 1, 10**40])
+    def test_huge_order_returns_at_once(self, n):
+        r = max_block_count(n)  # r is about sqrt(2n): not reached one step at a time
+        assert r * (r + 1) // 2 <= n < (r + 1) * (r + 2) // 2
 
 
 class TestElementarySymmetric:
