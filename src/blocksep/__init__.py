@@ -42,7 +42,7 @@ from .qseries import (
     s_block,
     zero,
 )
-from .recurrence import euler_factorized_gf, iter_normalized_pairs, normalized_recurrence
+from .recurrence import euler_factorized_gf, normalized_recurrence
 from .symfun import (
     bivariate_gf,
     elementary_symmetric_series,
@@ -87,7 +87,6 @@ __all__ = [
     "fibonacci_weighted_gf",
     "geometric_inverse",
     "independent_set_to_word",
-    "iter_normalized_pairs",
     "list_block_separated",
     "matrix_product_gf",
     "max_block_count",

@@ -17,8 +17,9 @@ import io
 import json
 import os
 import sys
-from collections.abc import Collection, Iterator
+from collections.abc import Callable, Collection, Iterator
 from dataclasses import dataclass
+from typing import TypeVar
 
 from . import bruteforce, fibonacci, recurrence, symfun, transfer
 from .bruteforce import DecoratedPartition
@@ -45,6 +46,8 @@ LISTING_WINDOW = 20
 
 TRUE_WORDS, FALSE_WORDS = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
+T = TypeVar("T")
+
 
 class UsageError(Exception):
     pass
@@ -52,11 +55,13 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    limit: int
-    method: str
-    format: str
-    cap_enum: int | None
-    output: str | None
+    """The resolved settings; one a command does not read keeps its default."""
+
+    limit: int = 10
+    method: str = "matrix"
+    format: str = "plain"
+    cap_enum: int | None = None
+    output: str | None = None  # None or empty text: stdout
     inject_fault: bool = False
 
     def cap(self, default: int) -> int:
@@ -82,27 +87,33 @@ def _switch(text: str) -> bool:
     return _word("yes or no", TRUE_WORDS + FALSE_WORDS, text.strip().lower()) in TRUE_WORDS
 
 
+def _checked(source: str, parse: Callable[[str], T], text: str) -> T:
+    """parse(text); a bad value is a UsageError naming where it came from."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise UsageError(f"{source} {exc}") from None
+
+
 def _resolve_config(args: argparse.Namespace, formats: Collection[str]) -> RunConfig:
     """Each setting the command has, from its flag, else its BLOCKSEP_ twin, else its
-    default; both arrive as text, and a bad one is a UsageError naming its source."""
-    settings = {  # name -> (default, parse of the text)
-        "limit": (10, _count),
-        "method": ("matrix", functools.partial(_word, "a method", METHOD_CHOICES)),
-        "format": ("plain", functools.partial(_word, f"a {args.command} format", formats)),
-        "cap_enum": (None, _count),
-        "output": (None, str),  # empty text means stdout
-        "inject_fault": (False, _switch),
+    default; flag and twin both arrive as text and get the same parse."""
+    parsers = {
+        "limit": _count,
+        "method": functools.partial(_word, "a method", METHOD_CHOICES),
+        "format": functools.partial(_word, f"a {args.command} format", formats),
+        "cap_enum": _count,
+        "output": str,
+        "inject_fault": _switch,
     }
     given, resolved = vars(args), {}
-    for name, (default, parse) in settings.items():
+    for name, parse in parsers.items():
         if name in given:
             from_flag = given[name] is not None
             source = "--" + name.replace("_", "-") if from_flag else ENV_PREFIX + name.upper()
             text = given[name] if from_flag else os.environ.get(source)
-            try:
-                resolved[name] = default if text is None else parse(text)
-            except ValueError as exc:
-                raise UsageError(f"{source} {exc}") from None
+            if text is not None:
+                resolved[name] = _checked(source, parse, text)
     return RunConfig(**resolved)
 
 
@@ -358,11 +369,10 @@ DECORATION_FORMATS = {
 
 
 def cmd_decorations(cfg: RunConfig, args: argparse.Namespace) -> int:
-    if args.r < 0:
-        raise UsageError("r must be nonnegative")
-    words = enumerate_decorations(args.r, cap=cfg.cap(fibonacci.DEFAULT_ENUMERATION_CAP))
+    r = _checked("r", _count, args.r)
+    words = enumerate_decorations(r, cap=cfg.cap(fibonacci.DEFAULT_ENUMERATION_CAP))
     rows = [(str(w), sorted(word_to_independent_set(w)), word_to_tiling(w)) for w in words]
-    return _emit(cfg, DECORATION_FORMATS, args.r, rows)
+    return _emit(cfg, DECORATION_FORMATS, r, rows)
 
 
 def _bivariate_csv(cfg: RunConfig, rows: list[list[int]]) -> str:
@@ -449,14 +459,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, renderers) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--limit", help="top weight n (default 10)")
-        p.add_argument("--method", help="one of " + ", ".join(METHOD_CHOICES))
+        if name == "decorations":  # sized by r; reads no limit and no method
+            p.add_argument("r", help="number of blocks")
+        else:
+            p.add_argument("--limit", help="top weight n (default 10)")
+            p.add_argument("--method", help="one of " + ", ".join(METHOD_CHOICES))
         p.add_argument("--format", help="one of " + ", ".join(renderers))
         p.add_argument("--cap-enum", help="override brute-force enumeration caps")
         p.add_argument("--output", help="write to file instead of stdout")
     sub.choices["verify"].add_argument("--inject-fault", nargs="?", const="yes", metavar="yes/no",
                                        help="self-test: flip one coefficient, expect failure")
-    sub.choices["decorations"].add_argument("r", type=int, help="number of blocks")
     return parser
 
 

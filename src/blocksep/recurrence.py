@@ -1,62 +1,57 @@
 """Normalized recurrence and Euler-factorized route to the counting series.
 
 Pulling the Euler factor 1/(1-q^j) out of each transfer matrix leaves the
-normalized matrices [[1, q^j], [q^j, 1-q^j]]; folding (1, 0) through them
-gives a pair whose update per step n is
+normalized matrices [[1, q^j], [q^j, 1-q^j]] = I + q^j * G with
+G = [[0, 1], [1, -1]]. Folding (1, 0) through them step by step is the
+update
 
     f0 <- f0 + q^n * f1
     f1 <- q^n * f0 + (1 - q^n) * f1
 
 and the counting series is the final f0 + f1 divided by (q)_inf, Euler's
-pentagonal series. The f1 iterates pick up negative coefficients along the
-way, which is why the series type is signed.
+pentagonal series. The matrices commute, so Euler's identity
+prod_{n>=1} (1 + z q^n) = sum_k z^k q^(T_k) / (q)_k, T_k = k(k+1)/2
+(Andrews, The Theory of Partitions, Cor. 2.2), gives the whole product as
+sum_k G^k q^(T_k) / (q)_k, and only k with T_k <= order contribute. Since
+G^2 = I - G, each power is G^k = a_k I + b_k G with
+(a_{k+1}, b_{k+1}) = (b_k, a_k - b_k); a_k + b_k = F(2-k). The f1 part
+has negative coefficients, which is why the series type is signed.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from operator import add, sub
+from itertools import accumulate, repeat
+from math import isqrt
+from operator import add, mul
 
 from .qseries import TruncatedSeries, euler_inverse
 from .transfer import StatePair
 
 
-def iter_normalized_pairs(order: int) -> Iterator[StatePair]:
-    """Yield the normalized pair after steps n = 0, 1, .., order.
-
-    Step n only touches coefficients from q^n up, so the low-order part of
-    f0 + f1 freezes as the iteration proceeds. Each yield is a snapshot of
-    the in-place scan; a negative order raises at the call.
-    """
-    return map(_snapshot, _scan(order))
-
-
 def normalized_recurrence(order: int) -> StatePair:
-    """The normalized pair after the full scan n = 1..order."""
-    for pair in _scan(order):
-        pass
-    return _snapshot(pair)
+    """The normalized pair (1, 0) * prod_{n=1..order} (I + q^n G), by Euler's identity.
 
-
-def _scan(order: int) -> Iterator[tuple[list[int], list[int]]]:
-    """Steps n = 0..order over two plain lists, updated in place as slices shifted by n."""
+    One loop over plain lists for k = 1, 2, .. while T_k <= order, so
+    O(order^1.5) coefficient operations: h <- h * q^k / (1 - q^k) (one
+    shift, one strided prefix sum), (a, b) <- (b, a - b), then f0 += a * h
+    and f1 += b * h from q^(T_k) up; h = q^(T_k) / (q)_k is zero below.
+    """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    f0, f1 = [1] + [0] * order, [0] * (order + 1)
-
-    def step(n: int) -> tuple[list[int], list[int]]:
-        if n:
-            kept = order + 1 - n
-            old_f0, shifted_f1 = f0[:kept], f1[:kept]
-            f0[n:] = map(add, f0[n:], shifted_f1)
-            f1[n:] = map(add, f1[n:], map(sub, old_f0, shifted_f1))
-        return f0, f1
-
-    return map(step, range(order + 1))
-
-
-def _snapshot(pair: tuple[list[int], list[int]]) -> StatePair:
-    return StatePair(*map(TruncatedSeries, pair))
+    n = order + 1
+    h, f0, f1 = [1] + [0] * order, [1] + [0] * order, [0] * n
+    a, b = 1, 0
+    for k in range(1, (isqrt(8 * order + 1) - 1) // 2 + 1):
+        t = k * (k + 1) // 2
+        h[k:] = h[:n - k]
+        h[:k] = repeat(0, k)
+        for r in range(t, min(t + k, n)):
+            h[r::k] = accumulate(h[r::k])
+        a, b = b, a - b
+        for f, c in ((f0, a), (f1, b)):
+            if c:
+                f[t:] = map(add, f[t:], map(mul, h[t:], repeat(c)))
+    return StatePair(TruncatedSeries(f0), TruncatedSeries(f1))
 
 
 def euler_factorized_gf(order: int) -> TruncatedSeries:

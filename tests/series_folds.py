@@ -4,10 +4,16 @@ Each multiplies an infinite product out factor by factor with the
 `TruncatedSeries` kernels, so it shares no code with the pentagonal
 recurrence or with the in-place list loops of the routes it is compared
 against. `schoolbook_product` is the term-by-term reference for `*` and
-for the division by the pentagonal series.
+for the division by the pentagonal series. `normalized_scan` folds the
+normalized matrices in one n at a time over plain lists; it is the
+per-step reference for the recurrence route, which sums Euler's identity
+instead.
 """
 
+from operator import add, sub
+
 from blocksep.qseries import TruncatedSeries, one, zero
+from blocksep.transfer import StatePair
 
 
 def schoolbook_product(a, b):
@@ -48,3 +54,36 @@ def elementary_symmetric_fold(r_max, order):
         for r in range(min(r_max, j), 0, -1):
             es[r] = es[r] + es[r - 1].mul_s_block(j)
     return es
+
+
+def normalized_scan(order):
+    """Steps n = 0..order of the normalized fold over two plain lists, in place.
+
+    Step n adds q^n * f1 to f0 and q^n * (f0 - f1) to f1 and only touches
+    coefficients from q^n up. Yields the two lists after each step; a
+    negative order raises at the call.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    f0, f1 = [1] + [0] * order, [0] * (order + 1)
+
+    def step(n):
+        if n:
+            kept = order + 1 - n
+            old_f0, shifted_f1 = f0[:kept], f1[:kept]
+            f0[n:] = map(add, f0[n:], shifted_f1)
+            f1[n:] = map(add, f1[n:], map(sub, old_f0, shifted_f1))
+        return f0, f1
+
+    return map(step, range(order + 1))
+
+
+def iter_normalized_pairs(order):
+    """A snapshot of the normalized pair after each step n = 0, 1, .., order."""
+    return (StatePair(*map(TruncatedSeries, pair)) for pair in normalized_scan(order))
+
+
+def normalized_scan_pair(order):
+    """The normalized pair after the full scan n = 1..order."""
+    *_, pair = normalized_scan(order)
+    return StatePair(*map(TruncatedSeries, pair))

@@ -328,6 +328,22 @@ class TestDecorations:
         code, _, err = run(capsys, "decorations", "26")
         assert code == 2 and "cap" in err
 
+    @pytest.mark.parametrize("r", ["ten", "-1", "", str(sys.maxsize)])
+    def test_bad_r_is_one_error_line(self, capsys, r):
+        code, out, err = run(capsys, "decorations", r)
+        assert code == 2 and out == ""
+        assert err.startswith("error: r ") and len(err.splitlines()) == 1
+        assert repr(r) in err
+
+    def test_reads_no_limit_or_method(self, capsys, monkeypatch):
+        expected = run(capsys, "decorations", "2")
+        monkeypatch.setenv("BLOCKSEP_LIMIT", "ten")
+        monkeypatch.setenv("BLOCKSEP_METHOD", "magic")
+        assert expected[0] == 0 and run(capsys, "decorations", "2") == expected
+        with pytest.raises(SystemExit) as exc:
+            main(["decorations", "2", "--limit", "3"])
+        assert exc.value.code == 2
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "decorations", "2", "--format", "json")
         doc = json.loads(out)

@@ -8,7 +8,7 @@ working lists.
 import pytest
 
 from blocksep.qseries import TruncatedSeries
-from blocksep.recurrence import euler_factorized_gf, iter_normalized_pairs, normalized_recurrence
+from blocksep.recurrence import euler_factorized_gf, normalized_recurrence
 from blocksep.symfun import (bivariate_gf, elementary_symmetric_series, fibonacci_weighted_gf,
                              weighted_gf)
 from blocksep.transfer import StatePair, matrix_product_gf
@@ -44,10 +44,6 @@ def test_normalized_recurrence():
         assert type(pair) is StatePair
         assert_series(pair.f0, n)
         assert_series(pair.f1, n)
-        for pair in iter_normalized_pairs(n):
-            assert type(pair) is StatePair
-            assert_series(pair.f0, n)
-            assert_series(pair.f1, n)
 
 
 def test_elementary_symmetric_series():

@@ -1,11 +1,8 @@
 import pytest
 
+from blocksep import fibonacci, recurrence, symfun, transfer
 from blocksep.qseries import TruncatedSeries, one, zero
-from blocksep.recurrence import (
-    euler_factorized_gf,
-    iter_normalized_pairs,
-    normalized_recurrence,
-)
+from blocksep.recurrence import euler_factorized_gf, normalized_recurrence
 from blocksep.transfer import (
     apply_matrix,
     matrix_product_gf,
@@ -13,10 +10,15 @@ from blocksep.transfer import (
     start_pair,
     transfer_matrix,
 )
+from series_folds import iter_normalized_pairs, normalized_scan_pair
 
 
 def series(*coeffs):
     return TruncatedSeries(coeffs)
+
+
+def mat_mul(x, y):
+    return tuple(tuple(sum(x[i][m] * y[m][j] for m in (0, 1)) for j in (0, 1)) for i in (0, 1))
 
 
 def fold_normalized(order, steps):
@@ -53,21 +55,46 @@ class TestNormalizedRecurrence:
         with pytest.raises(ValueError):
             normalized_recurrence(-1)
 
+    def test_full_scan_snapshots_once(self, monkeypatch):
+        # the route folds plain lists and converts f0 and f1 once, at return
+        calls = []
+        series_type = recurrence.TruncatedSeries
+        monkeypatch.setattr(recurrence, "TruncatedSeries",
+                            lambda *a: calls.append(1) or series_type(*a))
+        assert normalized_recurrence(30) == fold_normalized(30, 30)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("order", [*range(81), 150, 1000, 2000])
+    def test_matches_reference_scan(self, order):
+        assert normalized_recurrence(order) == normalized_scan_pair(order)
+
+    def test_euler_sum_weights_are_g_powers(self):
+        # peel f0 and f1 into sum_k c_k * h_k with h_k = q^(T_k)/(q)_k built by
+        # the series kernels: the weights are the first row (a_k, b_k) of the
+        # integer matrix G^k = a_k I + b_k G, and a_k + b_k = F(2-k)
+        order = 40
+        pair = normalized_recurrence(order)
+        rest = [list(pair.f0.coeffs), list(pair.f1.coeffs)]
+        h, g_power, weights, g_rows = one(order), ((1, 0), (0, 1)), [], []
+        for k in range(9):  # T_8 = 36 <= 40 < T_9
+            if k:
+                h = h.mul_s_block(k)
+                g_power = mat_mul(g_power, ((0, 1), (1, -1)))
+            t = k * (k + 1) // 2
+            weights.append(tuple(coeffs[t] for coeffs in rest))
+            g_rows.append(g_power[0])
+            rest = [[x - coeffs[t] * y for x, y in zip(coeffs, h.coeffs)] for coeffs in rest]
+        assert rest == [[0] * (order + 1)] * 2
+        assert weights == g_rows
+        assert [a + b for a, b in weights] == [1, 1, 0, 1, -1, 2, -3, 5, -8]
+
     def test_iter_rejects_negative_at_the_call(self):
+        # per-step reference
         with pytest.raises(ValueError):
             iter_normalized_pairs(-1)
 
-    def test_full_scan_snapshots_once(self, monkeypatch):
-        from blocksep import recurrence
-
-        calls = []
-        snapshot = recurrence._snapshot
-        monkeypatch.setattr(recurrence, "_snapshot", lambda *a: calls.append(1) or snapshot(*a))
-        assert normalized_recurrence(30) == fold_normalized(30, 30)
-        assert len(calls) == 1
-
     def test_intermediate_f1_goes_negative(self):
-        # pins the signed-coefficient requirement
+        # per-step reference; pins the signed-coefficient requirement
         for n in range(3, 9):
             assert any(
                 any(c < 0 for c in pair.f1.coeffs)
@@ -75,7 +102,7 @@ class TestNormalizedRecurrence:
             ), n
 
     def test_snapshots_match_matrix_fold_and_stay_put(self):
-        # each yielded pair is the fold through normalized_matrix(1..k) and is
+        # per-step reference: each yielded pair is the fold through normalized_matrix(1..k) and is
         # not changed by the steps after it
         for n in (0, 1, 2, 9, 30):
             pairs, seen = [], []
@@ -90,7 +117,7 @@ class TestNormalizedRecurrence:
                 assert (pair.f0.coeffs, pair.f1.coeffs) == seen[k], (n, k)
 
     def test_stabilization(self):
-        # after step n, coefficients up to q^n of the total never change
+        # per-step reference: after step n, coefficients up to q^n of the total never change
         order = 50
         pairs = list(iter_normalized_pairs(order))
         final = pairs[-1].total()
@@ -127,6 +154,21 @@ class TestEulerFactorizedGF:
     def test_agrees_with_matrix_route(self):
         for n in (0, 1, 2, 3, 10, 60, 150, 1000):
             assert euler_factorized_gf(n) == matrix_product_gf(n), n
+
+    def test_agrees_with_matrix_route_at_3000(self):
+        assert euler_factorized_gf(3000) == matrix_product_gf(3000)
+
+    def test_reads_no_other_route(self, monkeypatch):
+        # independence: no Fibonacci number, e_r table or transfer-matrix fold
+        expected = matrix_product_gf(200)
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("the recurrence route called another route")
+
+        monkeypatch.setattr(fibonacci, "fib", forbidden)
+        monkeypatch.setattr(symfun, "elementary_symmetric_series", forbidden)
+        monkeypatch.setattr(transfer, "matrix_product_gf", forbidden)
+        assert euler_factorized_gf(200) == expected
 
     def test_statement_variant_without_qn_factor_fails(self):
         # the f0 update needs the q^n factor; dropping it breaks the series
