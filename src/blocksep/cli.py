@@ -77,14 +77,15 @@ def _count(text: str) -> int:
     raise ValueError(f"must be an integer in 0..{sys.maxsize - 1}; got {text!r}")
 
 
-def _word(kind: str, words: Collection[str], text: str) -> str:
-    if text not in words:
+def _word(kind: str, words: Collection[str], text: str, fold: Callable[[str], str] = str) -> str:
+    if (word := fold(text)) not in words:
         raise ValueError(f"must be {kind}, one of {', '.join(words)}; got {text!r}")
-    return text
+    return word
 
 
 def _switch(text: str) -> bool:
-    return _word("yes or no", TRUE_WORDS + FALSE_WORDS, text.strip().lower()) in TRUE_WORDS
+    return _word("yes or no", TRUE_WORDS + FALSE_WORDS, text,
+                 lambda t: t.strip().lower()) in TRUE_WORDS
 
 
 def _checked(source: str, parse: Callable[[str], T], text: str) -> T:
@@ -95,25 +96,30 @@ def _checked(source: str, parse: Callable[[str], T], text: str) -> T:
         raise UsageError(f"{source} {exc}") from None
 
 
-def _resolve_config(args: argparse.Namespace, formats: Collection[str]) -> RunConfig:
-    """Each setting the command has, from its flag, else its BLOCKSEP_ twin, else its
-    default; flag and twin both arrive as text and get the same parse."""
-    parsers = {
-        "limit": _count,
-        "method": functools.partial(_word, "a method", METHOD_CHOICES),
-        "format": functools.partial(_word, f"a {args.command} format", formats),
-        "cap_enum": _count,
-        "output": str,
-        "inject_fault": _switch,
-    }
+# name -> (parse of the text its flag or BLOCKSEP_ twin gives, the flag's argparse keywords)
+SETTINGS: dict[str, tuple[Callable[[str], object] | None, dict[str, str]]] = {
+    "limit": (_count, {"help": "top weight n (default 10)"}),
+    "method": (functools.partial(_word, "a method", METHOD_CHOICES),
+               {"help": "one of " + ", ".join(METHOD_CHOICES)}),
+    "format": (None, {}),  # both come from the command's renderers
+    "cap_enum": (_count, {"help": "override brute-force enumeration caps"}),
+    "output": (str, {"help": "write to file instead of stdout"}),
+    "inject_fault": (_switch, {"nargs": "?", "const": "yes", "metavar": "yes/no",
+                               "help": "self-test: flip one coefficient, expect failure"}),
+}
+
+
+def _resolve_config(args: argparse.Namespace, formats: dict, settings: tuple) -> RunConfig:
+    """Each of settings from its flag, else its BLOCKSEP_ twin (same text, same parse),
+    else its default. The choices of --format are the keys of formats."""
     given, resolved = vars(args), {}
-    for name, parse in parsers.items():
-        if name in given:
-            from_flag = given[name] is not None
-            source = "--" + name.replace("_", "-") if from_flag else ENV_PREFIX + name.upper()
-            text = given[name] if from_flag else os.environ.get(source)
-            if text is not None:
-                resolved[name] = _checked(source, parse, text)
+    for name in settings:
+        parse = SETTINGS[name][0] or functools.partial(_word, f"a {args.command} format", formats)
+        from_flag = given[name] is not None
+        source = "--" + name.replace("_", "-") if from_flag else ENV_PREFIX + name.upper()
+        text = given[name] if from_flag else os.environ.get(source)
+        if text is not None:
+            resolved[name] = _checked(source, parse, text)
     return RunConfig(**resolved)
 
 
@@ -438,15 +444,20 @@ def cmd_list(cfg: RunConfig, _args: argparse.Namespace) -> int:
     return _emit(cfg, LIST_FORMATS, bruteforce.list_block_separated(cfg.limit, cap=cap))
 
 
-# name -> (help, handler, renderers); a command accepts the formats it can render.
+# name -> (help, handler, renderers, the settings it reads, in the order they resolve)
 COMMANDS = {
-    "seq": ("emit b(0..limit)", cmd_seq, SEQ_FORMATS),
-    "table": ("emit p(n), p~(n), b(n) side by side", cmd_table, TABLE_FORMATS),
-    "verify": ("run the cross-method and oracle checks", cmd_verify, VERIFY_FORMATS),
+    "seq": ("emit b(0..limit)", cmd_seq, SEQ_FORMATS,
+            ("limit", "method", "format", "cap_enum", "output")),
+    "table": ("emit p(n), p~(n), b(n) side by side", cmd_table, TABLE_FORMATS,
+              ("limit", "method", "format", "cap_enum", "output")),
+    "verify": ("run the cross-method and oracle checks", cmd_verify, VERIFY_FORMATS,
+               ("limit", "format", "cap_enum", "output", "inject_fault")),
     "decorations": ("list decoration words of length r", cmd_decorations,
-                    DECORATION_FORMATS),
-    "bivariate": ("emit the triangle b(n, m)", cmd_bivariate, BIVARIATE_FORMATS),
-    "list": ("list the block-separated overpartitions of n", cmd_list, LIST_FORMATS),
+                    DECORATION_FORMATS, ("format", "cap_enum", "output")),
+    "bivariate": ("emit the triangle b(n, m)", cmd_bivariate, BIVARIATE_FORMATS,
+                  ("limit", "format", "output")),
+    "list": ("list the block-separated overpartitions of n", cmd_list, LIST_FORMATS,
+             ("limit", "format", "cap_enum", "output")),
 }
 
 
@@ -457,26 +468,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="blocksep",
         description="Count block-separated overpartitions by independent methods.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, renderers) in COMMANDS.items():
+    for name, (help_text, _, renderers, settings) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if name == "decorations":  # sized by r; reads no limit and no method
+        if name == "decorations":  # sized by r, not by a --limit
             p.add_argument("r", help="number of blocks")
-        else:
-            p.add_argument("--limit", help="top weight n (default 10)")
-            p.add_argument("--method", help="one of " + ", ".join(METHOD_CHOICES))
-        p.add_argument("--format", help="one of " + ", ".join(renderers))
-        p.add_argument("--cap-enum", help="override brute-force enumeration caps")
-        p.add_argument("--output", help="write to file instead of stdout")
-    sub.choices["verify"].add_argument("--inject-fault", nargs="?", const="yes", metavar="yes/no",
-                                       help="self-test: flip one coefficient, expect failure")
+        for setting in settings:
+            p.add_argument("--" + setting.replace("_", "-"),
+                           **(SETTINGS[setting][1] or {"help": "one of " + ", ".join(renderers)}))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    _, handler, renderers = COMMANDS[args.command]
+    _, handler, renderers, settings = COMMANDS[args.command]
     try:
-        return handler(_resolve_config(args, renderers), args)
+        return handler(_resolve_config(args, renderers, settings), args)
     except (UsageError, CapExceededError, MemoryError) as exc:  # MemoryError: too big a limit
         sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return EXIT_USAGE

@@ -33,7 +33,7 @@ class TruncatedSeries:
         if not coeffs:
             raise ValueError("need at least the q^0 coefficient")
         for c in coeffs:
-            if not isinstance(c, int):
+            if type(c) is not int:  # bool too: True would pass as 1
                 raise TypeError(f"coefficients must be int, got {type(c).__name__}")
         object.__setattr__(self, "coeffs", coeffs)
 

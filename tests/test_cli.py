@@ -335,15 +335,6 @@ class TestDecorations:
         assert err.startswith("error: r ") and len(err.splitlines()) == 1
         assert repr(r) in err
 
-    def test_reads_no_limit_or_method(self, capsys, monkeypatch):
-        expected = run(capsys, "decorations", "2")
-        monkeypatch.setenv("BLOCKSEP_LIMIT", "ten")
-        monkeypatch.setenv("BLOCKSEP_METHOD", "magic")
-        assert expected[0] == 0 and run(capsys, "decorations", "2") == expected
-        with pytest.raises(SystemExit) as exc:
-            main(["decorations", "2", "--limit", "3"])
-        assert exc.value.code == 2
-
     def test_json(self, capsys):
         code, out, _ = run(capsys, "decorations", "2", "--format", "json")
         doc = json.loads(out)
@@ -508,10 +499,6 @@ class TestConfigPlumbing:
         assert code == 2 and out == ""
         assert "BLOCKSEP_INJECT_FAULT" in err
 
-    def test_inject_fault_env_read_by_verify_alone(self, capsys, monkeypatch):
-        monkeypatch.setenv("BLOCKSEP_INJECT_FAULT", "maybe")
-        assert run(capsys, "seq", "--limit", "3") == (0, "1 2 4 7\n", "")
-
     @pytest.mark.parametrize("fmt, argv, env", [
         ("xml", ["seq", "--format", "xml"], None),
         ("xml", ["seq"], "xml"),
@@ -547,6 +534,7 @@ class TestConfigPlumbing:
           for value in ("ten", "-1", str(sys.maxsize), str(10**19), "")],
         ("seq", "method", "magic"), ("seq", "method", ""), ("seq", "format", ""),
         ("verify", "inject_fault", "maybe"), ("verify", "inject_fault", ""),
+        ("verify", "inject_fault", "Perhaps"), ("verify", "inject_fault", " MAYBE"),
     ])
     def test_bad_value_is_the_same_line_from_flag_and_env(
             self, capsys, monkeypatch, command, setting, value):
@@ -559,7 +547,7 @@ class TestConfigPlumbing:
                 code, out, err = run(capsys, command, *([flag, value] if source == flag else []))
             assert code == 2 and out == ""
             assert err.startswith(f"error: {source} ") and len(err.splitlines()) == 1
-            assert other not in err
+            assert other not in err and repr(value) in err
             lines[source] = err.replace(source, "<source>")
         assert lines[flag] == lines[twin]
 
@@ -596,6 +584,47 @@ class TestConfigPlumbing:
         with pytest.raises(SystemExit) as exc:
             main(["seq", "--bogus"])
         assert exc.value.code == 2
+
+
+class TestDeclaredSettings:
+    """A command has a flag and a BLOCKSEP_ twin for each setting it declares, and
+    for no other: an undeclared twin is ignored, an undeclared flag is refused."""
+
+    BASE = {name: [name, "--limit", "3"] for name in cli.COMMANDS} | {
+        "decorations": ["decorations", "2"]}
+    BAD = {"limit": "ten", "method": "magic", "cap_enum": "x", "inject_fault": "maybe"}
+
+    @pytest.mark.parametrize("command, setting", [
+        (command, setting) for command, (*_, declared) in cli.COMMANDS.items()
+        for setting in cli.SETTINGS if setting not in declared])
+    def test_undeclared_setting_is_not_read(self, capsys, monkeypatch, command, setting):
+        expected = run(capsys, *self.BASE[command])
+        monkeypatch.setenv("BLOCKSEP_" + setting.upper(), self.BAD[setting])
+        assert run(capsys, *self.BASE[command]) == expected
+        with pytest.raises(SystemExit) as exc:
+            main([*self.BASE[command], "--" + setting.replace("_", "-"), self.BAD[setting]])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_help_lists_the_declared_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        flags = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.MULTILINE)
+        declared = cli.COMMANDS[command][-1]
+        assert exc.value.code == 0
+        assert flags == ["--" + setting.replace("_", "-") for setting in declared]
+
+    def test_readme_table_matches_the_declarations(self):
+        # the table in README.md "Command line": one row per flag, one column per command
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in readme.splitlines() if line.startswith("| `--")]
+        header = next(line for line in readme.splitlines() if line.startswith("| flag "))
+        columns = [cell.strip().strip("`") for cell in header.strip("|").split("|")]
+        documented = {command: [re.match(r"`--([a-z-]+)", row[0])[1].replace("-", "_")
+                                for row in rows if row[columns.index(command)]]
+                      for command in columns if command in cli.COMMANDS}
+        assert documented == {command: list(entry[-1]) for command, entry in cli.COMMANDS.items()}
 
 
 class TestSharedParser:

@@ -185,7 +185,7 @@ GOLDEN = """
 1 d8442a21dc70b3ddfdac3c2b0489f77ee8c241c2d6d59905840e7c7c49566b70 verify --limit 12 --inject-fault --format csv
 1 d10b3d7c72a31a5e1cb065b4a2f7f81faab8f9aa252c29afd4ad2fbde5cb6fcb verify --limit 12 --inject-fault --format json
 1 44edfa77697c01e93ed39f9f9c5503fbc3a4e0a150bb59976aa3565730899d69 verify --limit 0 --inject-fault
-0 9f977c30a1677e32417b7987028522b86c726231069a86fa9bd5dde1ad82a555 verify --limit 12 --method bruteforce
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 verify --limit 12 --method bruteforce
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 seq --limit 70 --method bruteforce
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 table --limit 70 --method bruteforce
 0 f374face135d898b8c277fe1087aecba1c22e845295c1941ce4cb0f814e80d20 seq --limit 26 --method bruteforce --cap-enum 26

@@ -92,9 +92,10 @@ class TestArithmetic:
 
 
 class TestConstructors:
-    def test_rejects_float_coefficients(self):
+    @pytest.mark.parametrize("coeffs", [[1.0, 2.0], [True, False]], ids=["float", "bool"])
+    def test_rejects_float_coefficients(self, coeffs):
         with pytest.raises(TypeError):
-            TruncatedSeries([1.0, 2.0])
+            TruncatedSeries(coeffs)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
