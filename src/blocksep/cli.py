@@ -58,7 +58,7 @@ class RunConfig:
     """The resolved settings; one a command does not read keeps its default."""
 
     limit: int = 10
-    method: str = "matrix"
+    method: str = "recurrence"
     format: str = "plain"
     cap_enum: int | None = None
     output: str | None = None  # None or empty text: stdout
@@ -70,10 +70,9 @@ class RunConfig:
 
 
 def _count(text: str) -> int:
-    """A nonnegative int small enough to size a list with."""
-    with contextlib.suppress(ValueError):
-        if 0 <= (value := int(text)) < sys.maxsize:
-            return value
+    """A nonnegative int small enough to size a list with, written in ASCII digits alone."""
+    if text.isascii() and text.isdigit() and (value := int(text)) < sys.maxsize:
+        return value
     raise ValueError(f"must be an integer in 0..{sys.maxsize - 1}; got {text!r}")
 
 
@@ -470,6 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, renderers, settings) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(usage_error=p.error)
         if name == "decorations":  # sized by r, not by a --limit
             p.add_argument("r", help="number of blocks")
         for setting in settings:
@@ -479,7 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:  # parse_args would show the top-level usage, not the command's flags
+        args.usage_error(f"unrecognized arguments: {' '.join(unknown)}")
     _, handler, renderers, settings = COMMANDS[args.command]
     try:
         return handler(_resolve_config(args, renderers, settings), args)

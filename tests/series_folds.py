@@ -1,18 +1,21 @@
 """Reference folds shared by the tests.
 
-Each multiplies an infinite product out factor by factor with the
-`TruncatedSeries` kernels, so it shares no code with the pentagonal
-recurrence or with the in-place list loops of the routes it is compared
-against. `schoolbook_product` is the term-by-term reference for `*` and
-for the division by the pentagonal series. `normalized_scan` folds the
-normalized matrices in one n at a time over plain lists; it is the
-per-step reference for the recurrence route, which sums Euler's identity
-instead.
+Each multiplies an infinite product out factor by factor, so it shares no
+code with the pentagonal recurrence or with the in-place list loops of the
+routes it is compared against. `euler_product_inverse` and
+`overpartition_product` use the `TruncatedSeries` kernels;
+`schoolbook_product` is the term-by-term reference for `*` and for the
+division by the pentagonal series. `elementary_symmetric_fold` keeps one
+plain list per rank and takes every size alone: the unpacked reference for
+the packed e_r table, quick enough to reach order 1000. `normalized_scan`
+folds the normalized matrices in one n at a time over plain lists; it is
+the per-step reference for the recurrence route, which sums Euler's
+identity instead.
 """
 
 from operator import add, sub
 
-from blocksep.qseries import TruncatedSeries, one, zero
+from blocksep.qseries import TruncatedSeries, one
 from blocksep.transfer import StatePair
 
 
@@ -48,12 +51,23 @@ def overpartition_product(order):
 
 
 def elementary_symmetric_fold(r_max, order):
-    """e_0 .. e_{r_max} of S_1..S_order: e_r += e_{r-1} * S_j, r descending."""
-    es = [one(order)] + [zero(order) for _ in range(r_max)]
-    for j in range(1, order + 1):
+    """e_0 .. e_{r_max} of S_1..S_order: e_r += e_{r-1} * S_j, r descending.
+
+    One plain list per rank, every size j one at a time: no packing, no
+    slot width and no shortcut for the sizes above order/2. e_{r-1} is zero
+    below q^(T_{r-1}), T_r = r(r+1)/2, so e_{r-1} * S_j is zero below
+    q^(T_{r-1}+j); t below holds it from there up.
+    """
+    n = order + 1
+    es = [[1] + [0] * order] + [[0] * n for _ in range(r_max)]
+    for j in range(1, n):
         for r in range(min(r_max, j), 0, -1):
-            es[r] = es[r] + es[r - 1].mul_s_block(j)
-    return es
+            low = r * (r - 1) // 2 + j
+            t = es[r - 1][low - j:n - j]
+            for i in range(j, len(t)):
+                t[i] += t[i - j]
+            es[r][low:] = map(add, es[r][low:], t)
+    return [TruncatedSeries(e) for e in es]
 
 
 def normalized_scan(order):

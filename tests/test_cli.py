@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from blocksep import bruteforce, cli, qseries, symfun
+from blocksep import bruteforce, cli, qseries, symfun, transfer
 from blocksep.cli import main
 from blocksep.qseries import TruncatedSeries, euler_inverse
 from blocksep.symfun import weighted_gf
@@ -96,7 +96,12 @@ class TestSeq:
         assert set(doc) == {"n", "values", "method", "checks"}
         assert doc["n"] == 4
         assert doc["values"] == [1, 2, 4, 7, 12]
-        assert doc["method"] == "matrix"
+        assert doc["method"] == "recurrence"
+
+    def test_default_route_agrees_with_matrix_at_3000(self, capsys):
+        code, out, _ = run(capsys, "seq", "--limit", "3000")
+        assert code == 0
+        assert out == " ".join(map(str, transfer.matrix_product_gf(3000).coeffs)) + "\n"
 
     def test_bruteforce_refuses_beyond_cap(self, capsys):
         code, _, err = run(capsys, "seq", "--limit", "70", "--method", "bruteforce")
@@ -328,7 +333,7 @@ class TestDecorations:
         code, _, err = run(capsys, "decorations", "26")
         assert code == 2 and "cap" in err
 
-    @pytest.mark.parametrize("r", ["ten", "-1", "", str(sys.maxsize)])
+    @pytest.mark.parametrize("r", ["ten", "-1", "", str(sys.maxsize), "1_0", " 3", "\uff13"])
     def test_bad_r_is_one_error_line(self, capsys, r):
         code, out, err = run(capsys, "decorations", r)
         assert code == 2 and out == ""
@@ -531,7 +536,7 @@ class TestConfigPlumbing:
 
     @pytest.mark.parametrize("command, setting, value", [
         *[("seq", setting, value) for setting in ("limit", "cap_enum")
-          for value in ("ten", "-1", str(sys.maxsize), str(10**19), "")],
+          for value in ("ten", "-1", str(sys.maxsize), str(10**19), "", "1_0", " 3", "\uff13")],
         ("seq", "method", "magic"), ("seq", "method", ""), ("seq", "format", ""),
         ("verify", "inject_fault", "maybe"), ("verify", "inject_fault", ""),
         ("verify", "inject_fault", "Perhaps"), ("verify", "inject_fault", " MAYBE"),
@@ -556,7 +561,7 @@ class TestConfigPlumbing:
         def exhausted(*_args):
             raise MemoryError
 
-        monkeypatch.setitem(cli.SERIES_METHODS, "matrix", exhausted)
+        monkeypatch.setitem(cli.SERIES_METHODS, cli.RunConfig().method, exhausted)
         monkeypatch.setattr(symfun, "bivariate_gf", exhausted)
         assert run(capsys, command) == (2, "", "error: out of memory\n")
 
@@ -601,9 +606,14 @@ class TestDeclaredSettings:
         expected = run(capsys, *self.BASE[command])
         monkeypatch.setenv("BLOCKSEP_" + setting.upper(), self.BAD[setting])
         assert run(capsys, *self.BASE[command]) == expected
+        flag = "--" + setting.replace("_", "-")
         with pytest.raises(SystemExit) as exc:
-            main([*self.BASE[command], "--" + setting.replace("_", "-"), self.BAD[setting]])
-        assert exc.value.code == 2
+            main([*self.BASE[command], flag, self.BAD[setting]])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        # the command's own usage line, which lists the flags it does take
+        assert err.startswith(f"usage: blocksep {command} [-h]")
+        assert err.endswith(f"error: unrecognized arguments: {flag} {self.BAD[setting]}\n")
 
     @pytest.mark.parametrize("command", cli.COMMANDS)
     def test_help_lists_the_declared_flags(self, capsys, command):

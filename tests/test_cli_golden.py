@@ -19,11 +19,11 @@ from blocksep.cli import main
 GOLDEN = """
 0 4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865 seq --limit 0 --format plain
 0 4e0f906a9b811fe06aabd86ae4b6bdbf2dea505a12e9dff8ba8d1a356775ffc1 seq --limit 0 --format csv
-0 c3743671c34a17cdd22470d88befe55242f52950a84a195b2e25928c6e97c4df seq --limit 0 --format json
+0 85cb62fdde7678a3679cd1d0285483709f9732b7bf130465d2b7375eac418880 seq --limit 0 --format json
 0 a79122992d53d358e6bbbbb98883d64fa0c15df3bcb08ff7b65a0580870af424 seq --limit 0 --format bfile
 0 93e7b4b9a15a8118007582ddbe30f530ea073120c9b565b837967d8739abb8dc table --limit 0 --format plain
 0 c5cf4ccce2d1d9eadcf6fcf91a8dfd2462825b860e1fc5ce71a7354b09f0f9f2 table --limit 0 --format csv
-0 a827f41a803a51c05cffc87d7a101b45b80a4fd33726fdbf3ff0ec7664f3002d table --limit 0 --format json
+0 b0ca93684f223cd1202452af065483ccbffac2740920ed1b724ddc5fa6cef81e table --limit 0 --format json
 0 5601a8faffc83b5a7a9ff4bc58a136a65dd83ae49a2c42dde250533a813cedd0 verify --limit 0 --format plain
 0 fd22a4a0b44e33c039a0a6cbcea204fb48efda0f29710f2db625ca6c83cad753 verify --limit 0 --format csv
 0 61ef19db0d054cdc57b5608ad39ac14446e52f746413a6146a8797a2b797a54a verify --limit 0 --format json
@@ -58,11 +58,11 @@ GOLDEN = """
 0 3ae3ef9e926a77afae14530cabe1121132dd8bc1e54252e879ec79abdae758b3 table --limit 0 --method all --format json
 0 f251ddc12234e0da8d3b778bd0f7463fb477f16f47757f5617dc8b4ff4d4f14a seq --limit 1 --format plain
 0 c9079de1a68c008e5b7a7cea94d088fbc4245f6c99ec7c6d2cf021a3306f72aa seq --limit 1 --format csv
-0 ccf5677c90cf5755163fd169341db00af943af7f4fd00854491cf5f602ee9464 seq --limit 1 --format json
+0 3c9c4661a43d8efe36043de72a02b11ef9bd302d8b9406e76af3373a303383a4 seq --limit 1 --format json
 0 8ba65ee1bbe8297e30cab4c5fc9b62a8caa0dbe7b89298edf1da2609beb24ae1 seq --limit 1 --format bfile
 0 a0ed64ee0650d33d8e6aec392ed859cf7bfd8018b7637333da675dd35e5bdd9b table --limit 1 --format plain
 0 3dd1183ef26040ad76c45047ea8097f80d85587025db20ed4b2a752b699a66d2 table --limit 1 --format csv
-0 a059105bf69f3e1c63bd4fe31fead37ca90cecfc6befc33b170489311d37ac4e table --limit 1 --format json
+0 5a0e717e1eb23b3fb3cae0117235290f88b2f8d0f43538d8517e7bf3ad56e304 table --limit 1 --format json
 0 b5cac2ef8dffa869e197d60c1063d5ecd0c28316cf465acb7b5a6adf226f2bfe verify --limit 1 --format plain
 0 e6659cb8cbbee1254ce5787b8cc5578ec0b6d734d4ca6af328cb9d323cb3f6a6 verify --limit 1 --format csv
 0 c67f403697005f089835228083cfd40d49a62cb3cefbb9a088862026f224bb79 verify --limit 1 --format json
@@ -97,11 +97,11 @@ GOLDEN = """
 0 f734a5193e51f7cc55bef5807512837d17c57660e0909a44bfda65b7ac54d496 table --limit 1 --method all --format json
 0 6e39dc97c5dc9914cf89fecf45c814ab06d517784c4ba9f5bfd1f68f71154b55 seq --limit 12 --format plain
 0 4d4c13afdf6db2916fb39d63959c172218c1b86da2177c134d0b592af0ed6b5b seq --limit 12 --format csv
-0 cad8d49a4091355d78a43c78cf6282beea419d0256d60c3d1c8a0cf4dd48727b seq --limit 12 --format json
+0 f8e7ae8aa8799bba847db5e9d5ff2c7b9d51afb72dd1e614f9a42cb766f71b94 seq --limit 12 --format json
 0 d25abec6f11da422136f4d49e671828fe6e8714992ffc7a6d0e3eccc357da607 seq --limit 12 --format bfile
 0 033cd5625002fc58e777ac65084d632d2e829451e5ef66036bb1d724896f8cae table --limit 12 --format plain
 0 2fe5040da71d3385492656deca765dfcc467a8776b135f6bda135793c1aee1fb table --limit 12 --format csv
-0 b31dd23d2f555c8a1aaa184742a8220ad7f5bbd803f27129cc87666134de7bf5 table --limit 12 --format json
+0 dcced0d82739c5bffb8e3e8dab682fb88130d64805d52dad12c73c4b0a0e69a4 table --limit 12 --format json
 0 9f977c30a1677e32417b7987028522b86c726231069a86fa9bd5dde1ad82a555 verify --limit 12 --format plain
 0 d12a056991fb6f7db59f6a86b5a1d757e15a0f60d245d173539a3c6ea90fdc5f verify --limit 12 --format csv
 0 c0bdcbf2243c6bab504f75be3553d3424835fc44994fbe2a445cb5240b3df95c verify --limit 12 --format json
@@ -136,11 +136,11 @@ GOLDEN = """
 0 5de8d556f02c1901b73335bfae9814f882164a3eebf3b787c42eaaf93385af36 table --limit 12 --method all --format json
 0 697f66e7a4108154ce64356ea744983dba8c95e32d3d8fa5024fa7ba130d9eaa seq --limit 40 --format plain
 0 cb80d85b38d8b76a0effc7caecee133daa4bc8276ffd63e7e445887d0b0d67df seq --limit 40 --format csv
-0 e43b2465ff4877fae9efc1ef8c177617758864b82c5dd417c4608cbb2544ac0a seq --limit 40 --format json
+0 9203b596322a6bbe04c512567fc321f8c273a57fe7ce803fb030d48c8df66212 seq --limit 40 --format json
 0 fd646aea196e0106ca9a149136097132e5ee18c290fd6984a7a6256bdd5958ac seq --limit 40 --format bfile
 0 15ad6c8a2147b251994d56312a2960c38ac34828cd8a5fcdc74056c92b908535 table --limit 40 --format plain
 0 7e25e768977d4665138622f28e9359457809f9db21d52e72a41e7ad24f7f13c0 table --limit 40 --format csv
-0 cac9fd7c1fd4372fe2013ad7c25cfcdefc9614c33e6dfa06e1044e6d32cecf09 table --limit 40 --format json
+0 b6a67e2e13753feeb3729a0c011b6e7fb5710bdd353d81b2b2561ba18f35ee68 table --limit 40 --format json
 0 b077d96b0c1c1aa017878b439e67e87a1086ad4895b0c6342f11356e36adc8c0 verify --limit 40 --format plain
 0 fd414f98649c3b32fa2bc31cfb27673f4860b289219009b9bdd0df8105d58b3c verify --limit 40 --format csv
 0 3cd1374363115c640be6755fef7870d14a194dca3b2fd642005ca8554f3b8aa0 verify --limit 40 --format json
@@ -211,7 +211,7 @@ GOLDEN = """
 0 1a226c83e56b6b813e0a5c1885f218f4033dd1f8f3fd700b80b0eb85aac2959f BLOCKSEP_METHOD=symmetric seq --limit 12 --format json
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 BLOCKSEP_METHOD=magic seq --limit 1
 0 9cf0d80b2acffa73b1ab88c46112a84d4489f667798a94e971e957910c02d043 BLOCKSEP_FORMAT=bfile seq --limit 5
-0 9a5866d8ed045d4abe4e65557e0cd945c6d1502f59396075ebeb119cc7a5a516 BLOCKSEP_FORMAT=json table --limit 5
+0 b8e3c029d34d329785e3b2fff7e3d15649722ccf8e4cb900aad47d9801f705e7 BLOCKSEP_FORMAT=json table --limit 5
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 BLOCKSEP_FORMAT=bfile table --limit 5
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 BLOCKSEP_FORMAT=xml seq --limit 5
 0 96fb48c3b2c3576e0d4e6cccea98d01ffd949afd2902fda43a90272d312c5c1c BLOCKSEP_CAP_ENUM=2 verify --limit 12

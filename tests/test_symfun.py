@@ -82,10 +82,11 @@ class TestElementarySymmetric:
             assert lowest == r * (r + 1) // 2, r
 
     def test_matches_reference_fold(self):
-        # the in-place table against the series-kernel fold, with r_max below,
-        # at and above the largest rank that fits; the fold's e_r does not
-        # depend on r_max, so one fold serves all three
-        for n in range(121):
+        # the packed table, which takes every size above n/2 in one step,
+        # against the unpacked fold that takes each size alone, with r_max
+        # below, at and above the largest rank that fits; the fold's e_r does
+        # not depend on r_max, so one fold serves all three
+        for n in [*range(121), 500, 1000]:
             top = max_block_count(n)
             reference = elementary_symmetric_fold(top + 2, n)
             for r_max in {max(top - 1, 0), top, top + 2}:
