@@ -481,7 +481,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args, unknown = build_parser().parse_known_args(argv)
     if unknown:  # parse_args would show the top-level usage, not the command's flags
-        args.usage_error(f"unrecognized arguments: {' '.join(unknown)}")
+        # the top-level parser takes no flags: each token before the command is its leftover
+        early = (sys.argv[1:] if argv is None else argv).index(args.command)
+        (build_parser().error if early else args.usage_error)(
+            f"unrecognized arguments: {' '.join(unknown[:early] or unknown)}")
     _, handler, renderers, settings = COMMANDS[args.command]
     try:
         return handler(_resolve_config(args, renderers, settings), args)

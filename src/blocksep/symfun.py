@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from itertools import accumulate
 
 from .fibonacci import fib, fib_polynomial
 from .qseries import TruncatedSeries, partition_numbers
@@ -31,19 +30,19 @@ def elementary_symmetric_series(r_max: int, order: int) -> list[TruncatedSeries]
     """e_0 .. e_{r_max} of the block series S_1..S_order, truncated.
 
     All ranks are packed into one int per power of q: ys[k] holds e_r[k] in
-    the w-bit slot r. Each size j <= h = order // 2 multiplies by 1 + y*S_j
-    with one strided prefix sum t = ys_old * S_j (t[k] = ys_old[k-j] + t[k-j])
-    and one shifted add ys[k] += t[k] << w. The sizes above h go in one step:
-    below q^(order+1), S_j = q^j for j > h and any two such terms multiply to
-    zero, so their product is 1 + y*(q^(h+1) + .. + q^order) and ys[k] gains
-    the prefix sum of ys[0..k-h-1] shifted by w. e_r[k] counts r-block
-    skeletons of weight k, a subset of the partitions of k, so e_r[k] <= p(k)
-    <= p(order); the slots only grow, so w is that bound's bit length plus a
-    spare bit. The folded prefix sums fit too: slot r of the sum of ys[i],
-    i <= k-h-1, counts the (r+1)-block skeletons of weight k whose largest
-    part is above h, at most e_{r+1}[k] <= p(order), so no slot carries into
-    the next. Decode raises SlotOverflowError if a slot reaches the spare bit
-    or bits sit above the top rank. e_r with r(r+1)/2 > order comes out zero.
+    the w-bit slot r. Below q^(order+1), S_j = q^j for j > h = order // 2 and
+    any two such terms multiply to zero, so those sizes give the start state
+    ys = 1 + y*(q^(h+1) + .. + q^order). Each size j = h..1 then multiplies by
+    1 + y*S_j: t[k] = ys_old[k-j] + t[k-j] is ys_old*S_j, added one rank up by
+    ys[k] += t[k] << w. Before pass j, ys counts skeletons with all parts
+    above j, so ys[1..j] are zero: the pass sets ys[j] = y*q^j and works from
+    k = 2j on. Slot r of ys[k] (of t[k]) counts the r-block ((r+1)-block)
+    skeletons of weight k with all parts >= j, a subset of those e_r[k]
+    (e_{r+1}[k]) counts, which are partitions of k: every slot stays <=
+    p(order), so w is that bound's bit length plus a spare bit and no slot
+    carries into the next. Decode raises SlotOverflowError if a slot reaches
+    the spare bit or bits sit above the top rank. e_r with r(r+1)/2 > order
+    comes out zero.
     """
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
@@ -51,13 +50,13 @@ def elementary_symmetric_series(r_max: int, order: int) -> list[TruncatedSeries]
         raise ValueError("order must be nonnegative")
     n, h, top = order + 1, order // 2, max_block_count(order)
     w = partition_numbers(order)[-1].bit_length() + 1
-    ys = [1] + [0] * order
-    for j in range(1, h + 1):
-        t = [0] * j + ys[:n - j]
-        for k in range(j, n):
+    ys = [1] + [0] * h + [1 << w] * (order - h)
+    for j in range(h, 0, -1):
+        t = [0] * j + ys[:n - j]  # copied before ys[j] is set
+        ys[j] = 1 << w
+        for k in range(2 * j, n):
             t[k] += t[k - j]
             ys[k] += t[k] << w
-    ys[h + 1:] = [y + (s << w) for y, s in zip(ys[h + 1:], accumulate(ys[:order - h]))]
     mask, spare = (1 << w) - 1, 1 << (w - 1)
     rows = [[y >> (r * w) & mask for r in range(max(top, r_max) + 1)] for y in ys]
     if any(y >> ((top + 1) * w) for y in ys) or any(c & spare for row in rows for c in row):

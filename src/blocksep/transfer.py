@@ -9,7 +9,6 @@ overlining the next block).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import add
 
 from .qseries import TruncatedSeries, geometric_inverse, one, qpow, s_block, zero
@@ -110,29 +109,27 @@ def apply_matrix(v: StatePair, m: TransferMatrix) -> StatePair:
 def matrix_product_gf(order: int) -> TruncatedSeries:
     """Counting series of block-separated overpartitions, matrix route.
 
-    Folds (1, 0) through the transfer matrices for j = 1..order and sums
-    the final states. Each matrix is I + S_j*F with F = [[1, 1], [1, 0]],
-    so they commute and increasing j is a choice. Sizes beyond the order
-    contribute identity factors, so the cutoff at j = order is exact.
-
-    Each size j <= h = order // 2 is one ascending pass in place over
-    plain lists. With a = f0*S_j and b = f1*S_j of the old values, the
-    update f0 += a + b, f1 += a reads f0[k] += f1_old[k-j] + f0[k-j] and
+    Each transfer matrix is I + S_j*F with F = [[1, 1], [1, 0]], so they
+    commute and the order of the sizes is a choice; sizes beyond the order
+    are identity factors. For j > h = order // 2, S_j = q^j mod q^(order+1)
+    and any two such terms multiply to zero, so those sizes fold to I + T*F,
+    T = q^(h+1) + ... + q^order, and (1, 0) starts as (1 + T, T). Then each
+    size j = h..1 is one pass in place over plain lists. Before it the state
+    counts partitions into parts above j, so indices 1..j are (0, 0): the
+    pass sets index j to (1, 1) and updates k >= 2j only, mostly on small
+    counts. With a = f0*S_j and b = f1*S_j of the old values, the update
+    f0 += a + b, f1 += a reads f0[k] += f1_old[k-j] + f0[k-j] and
     f1[k] += f0_old[k-j] - f1_old[k-j] + f1[k-j], because
     a[k] = f0_old[k-j] + a[k-j] and a[k-j] = f1[k-j] - f1_old[k-j].
-    For j > h, S_j = q^j mod q^(order+1) and any two such terms multiply
-    to zero, so those sizes fold to I + T*F with T = q^(h+1) + ... + q^order:
-    one prefix sum per state, reading only indices <= h.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     n, h = order + 1, order // 2
-    f0, f1 = [1] + [0] * order, [0] * n
-    for j in range(1, h + 1):
-        for k, g0, g1 in zip(range(j, n), f0[:n - j], f1[:n - j]):
+    f0, f1 = [1] + [0] * h + [1] * (order - h), [0] * (h + 1) + [1] * (order - h)
+    for j in range(h, 0, -1):
+        old = zip(range(2 * j, n), f0[j:n - j], f1[j:n - j])  # slices before f[j] is set
+        f0[j] = f1[j] = 1
+        for k, g0, g1 in old:
             f0[k] += g1 + f0[k - j]
             f1[k] += g0 - g1 + f1[k - j]
-    m = order - h
-    f1[h + 1:] = map(add, f1[h + 1:], accumulate(f0[:m]))
-    f0[h + 1:] = map(add, f0[h + 1:], accumulate(map(add, f0[:m], f1[:m])))
     return TruncatedSeries(map(add, f0, f1))

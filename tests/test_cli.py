@@ -590,6 +590,22 @@ class TestConfigPlumbing:
             main(["seq", "--bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, usage, prog", [
+        (["--bogus", "seq", "--limit", "3"], "usage: blocksep [-h] {", "blocksep"),
+        (["--bogus", "seq", "--other"], "usage: blocksep [-h] {", "blocksep"),
+        (["seq", "--limit", "3", "--bogus"], "usage: blocksep seq [-h]", "blocksep seq"),
+    ], ids=["before", "before-and-after", "after"])
+    def test_unknown_flag_is_reported_by_the_parser_it_was_given_to(self, capsys, argv, usage,
+                                                                     prog):
+        # a flag before the command belongs to the top-level parser, one after
+        # it to the command's; the first that was given is reported
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.startswith(usage)
+        assert err.endswith(f"\n{prog}: error: unrecognized arguments: --bogus\n")
+
 
 class TestDeclaredSettings:
     """A command has a flag and a BLOCKSEP_ twin for each setting it declares, and

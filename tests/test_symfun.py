@@ -110,7 +110,13 @@ class TestElementarySymmetric:
     def test_rank_sums_at_order_1000(self):
         # sum_r e_r = 1/(q;q) and sum_r 2^r e_r = (-q;q)/(q;q), each against
         # its own sparse reciprocal, far past the orders the folds reach
-        n = 1000
+        self.check_rank_sums(1000)
+
+    def test_rank_sums_at_order_2000(self):
+        self.check_rank_sums(2000)
+
+    @staticmethod
+    def check_rank_sums(n):
         columns = list(zip(*(e.coeffs for e in elementary_symmetric_series(max_block_count(n), n))))
         assert [sum(col) for col in columns] == partition_numbers(n)
         assert [sum(c << r for r, c in enumerate(col)) for col in columns] == \

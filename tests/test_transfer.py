@@ -125,9 +125,14 @@ class TestMatrixProductGF:
         assert matrix_product_gf(0) == one(0)
 
     def test_agrees_with_generic_fold(self):
-        # both parities of h = n // 2, and every j = h / h + 1 boundary
-        for n in range(65):
-            assert matrix_product_gf(n) == fold(n, range(1, n + 1)).total()
+        # the literal ascending fold against the route's descending passes:
+        # both parities of h = n // 2, and every j = h / h + 1 boundary. A
+        # size j > n starts at q^j, so one fold at the top order holds the
+        # fold at every lower order n as its first n + 1 coefficients
+        top = 120
+        reference = fold(top, range(1, top + 1)).total().coeffs
+        for n in range(top + 1):
+            assert matrix_product_gf(n).coeffs == reference[:n + 1], n
 
     def test_matrices_commute(self):
         n = 30
@@ -137,7 +142,8 @@ class TestMatrixProductGF:
 
     @pytest.mark.parametrize("n", [20, 21])
     def test_tail_sizes_fold_to_one_step(self, n):
-        # for j > n // 2, prod M_j = I + T*F with T = q^(h+1) + ... + q^n
+        # pins the route's start state: for j > n // 2, prod M_j = I + T*F
+        # with T = q^(h+1) + ... + q^n, so (1, 0) starts as (1 + T, T)
         v = StatePair(series(*range(1, n + 2)), series(*range(n + 1, 0, -1)))
         tail = v
         for j in range(n // 2 + 1, n + 1):
@@ -147,6 +153,9 @@ class TestMatrixProductGF:
 
     def test_agrees_with_recurrence_route_at_1201(self):
         assert matrix_product_gf(1201) == euler_factorized_gf(1201)
+
+    def test_agrees_with_recurrence_route_at_2000(self):
+        assert matrix_product_gf(2000) == euler_factorized_gf(2000)
 
     def test_cutoff_soundness(self):
         # extending the scan past j = N multiplies by identities only
