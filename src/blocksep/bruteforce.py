@@ -34,6 +34,8 @@ class BlockPartition:
     blocks: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if type(self.blocks) is not tuple:  # a list would make the partition unhashable
+            object.__setattr__(self, "blocks", tuple(map(tuple, self.blocks)))
         last = None
         for part, mult in self.blocks:
             if part < 1 or mult < 1:

@@ -380,7 +380,7 @@ def cmd_decorations(cfg: RunConfig, args: argparse.Namespace) -> int:
     return _emit(cfg, DECORATION_FORMATS, r, rows)
 
 
-def _bivariate_csv(cfg: RunConfig, rows: list[list[int]]) -> str:
+def _bivariate_csv(cfg: RunConfig, rows: tuple[tuple[int, ...], ...]) -> str:
     width = max(len(row) for row in rows)
     header = ["n"] + [f"m={m}" for m in range(width)]
     body = [[n, *row] + [0] * (width - len(row)) for n, row in enumerate(rows)]
@@ -397,8 +397,7 @@ BIVARIATE_FORMATS = {
 
 
 def cmd_bivariate(cfg: RunConfig, _args: argparse.Namespace) -> int:
-    rows = [list(row) for row in symfun.bivariate_gf(cfg.limit)]
-    return _emit(cfg, BIVARIATE_FORMATS, rows)
+    return _emit(cfg, BIVARIATE_FORMATS, symfun.bivariate_gf(cfg.limit))
 
 
 def render_decorated(d: DecoratedPartition) -> str:

@@ -33,6 +33,8 @@ class DecorationWord:
     bits: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.bits) is not tuple:  # a list would make the word unhashable
+            object.__setattr__(self, "bits", tuple(self.bits))
         for b in self.bits:
             if type(b) is not int or b not in (0, 1):
                 raise ValueError(f"bits must be 0 or 1, got {b!r}")
@@ -116,6 +118,8 @@ def independent_set_to_word(positions: frozenset[int] | set[int], r: int) -> Dec
     if r < 0:
         raise ValueError("r must be nonnegative")
     for p in positions:
+        if type(p) is not int:  # bool too: True would pass as 1
+            raise ValueError(f"positions must be int, got {p!r}")
         if not 1 <= p <= r:
             raise ValueError(f"position {p} outside 1..{r}")
     return DecorationWord(tuple(1 if i + 1 in positions else 0 for i in range(r)))
@@ -146,6 +150,8 @@ def tiling_to_word(tiles: tuple[Tile, ...], r: int) -> DecorationWord:
     """Inverse of word_to_tiling for words of length r."""
     bits: list[int] = []
     for t in tiles:
+        if not isinstance(t, Tile):
+            raise ValueError(f"tiles must be Tile, got {t!r}")
         bits.extend((0,) if t is Tile.PLAIN else (1, 0))
     if len(bits) == r + 1:
         if not (tiles and tiles[-1] is Tile.OVERLINED_PAIR):

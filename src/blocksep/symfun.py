@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from operator import mul
 
 from .fibonacci import fib, fib_polynomial
-from .qseries import TruncatedSeries, partition_numbers
+from .qseries import TruncatedSeries, overpartition_numbers, partition_numbers
 
 
 class SlotOverflowError(OverflowError):
-    """The e_r table's decode check failed: a packed slot outgrew its width."""
+    """A packed kernel's decode check failed: a slot outgrew its width."""
 
 
 def max_block_count(order: int) -> int:
@@ -40,9 +41,10 @@ def elementary_symmetric_series(r_max: int, order: int) -> list[TruncatedSeries]
     skeletons of weight k with all parts >= j, a subset of those e_r[k]
     (e_{r+1}[k]) counts, which are partitions of k: every slot stays <=
     p(order), so w is that bound's bit length plus a spare bit and no slot
-    carries into the next. Decode raises SlotOverflowError if a slot reaches
-    the spare bit or bits sit above the top rank. e_r with r(r+1)/2 > order
-    comes out zero.
+    carries into the next. Decode checks each packed int once against the
+    spare bit of every rank and the bits above the top rank, raising
+    SlotOverflowError if any is set, then unpacks one rank at a time. e_r
+    with r(r+1)/2 > order comes out zero.
     """
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
@@ -57,21 +59,30 @@ def elementary_symmetric_series(r_max: int, order: int) -> list[TruncatedSeries]
         for k in range(2 * j, n):
             t[k] += t[k - j]
             ys[k] += t[k] << w
-    mask, spare = (1 << w) - 1, 1 << (w - 1)
-    rows = [[y >> (r * w) & mask for r in range(max(top, r_max) + 1)] for y in ys]
-    if any(y >> ((top + 1) * w) for y in ys) or any(c & spare for row in rows for c in row):
+    mask = (1 << w) - 1
+    # every rank's spare bit, and (negative, so unbounded) every bit above the top rank
+    bad = sum(1 << (r * w + w - 1) for r in range(top + 1)) | -(1 << (top + 1) * w)
+    if any(y & bad for y in ys):
         raise SlotOverflowError(f"e_r slot of {w} bits overflowed at order {order}")
-    return [TruncatedSeries(e) for e in list(zip(*rows))[:r_max + 1]]
+    return [TruncatedSeries([y >> r * w & mask for y in ys]) for r in range(r_max + 1)]
+
+
+def _row_dots(es: list[TruncatedSeries], weights: list[int]) -> list[int]:
+    """sum_r e_r[n] * weights[r] for each n = 0..order, one row of the table at a time.
+
+    weights runs up to max_block_count(order); row n stops at
+    max_block_count(n), since e_r[n] is zero for every larger r.
+    """
+    heads = [weights[:r + 1] for r in range(len(weights))]
+    return [sum(map(mul, row, heads[max_block_count(n)]))
+            for n, row in enumerate(zip(*(e.coeffs for e in es)))]
 
 
 def weighted_gf(order: int, weight: Callable[[int], int]) -> TruncatedSeries:
     """Sum of weight(r) * e_r over all ranks that can contribute."""
-    es = elementary_symmetric_series(max_block_count(order), order)
-    acc = [0] * (order + 1)
-    for r, e in enumerate(es):
-        w = weight(r)
-        acc = [a + w * c for a, c in zip(acc, e.coeffs)]
-    return TruncatedSeries(acc)
+    top = max_block_count(order)
+    es = elementary_symmetric_series(top, order)
+    return TruncatedSeries(_row_dots(es, [weight(r) for r in range(top + 1)]))
 
 
 def fibonacci_weighted_gf(order: int) -> TruncatedSeries:
@@ -85,23 +96,29 @@ def bivariate_gf(order: int) -> tuple[tuple[int, ...], ...]:
     rows[n][m] = b(n, m) for n = 0..order, each row trimmed of trailing
     zeros; row sums give b(n) and the m = 0 column gives p(n). b(n, m) sums,
     over the number of blocks r, the skeleton count [q^n] e_r times the
-    number of r-block decorations with m overlines.
+    number of r-block decorations with m overlines, C(r-m+1, m).
+
+    Each row is one packed dot product with the weights
+    W_r = sum_m C(r-m+1, m) * 2^(m*v), so slot m of row n is b(n, m). Every
+    partial sum adds nonnegative terms, and b(n, m) <= b(n) <= p~(n) <=
+    p~(order), so v is that bound's bit length plus a spare bit and no slot
+    carries into the next. Row n has at most (r_n + 1) // 2 + 1 slots,
+    r_n = max_block_count(n); decode raises SlotOverflowError if a row has
+    more or a slot reaches the spare bit. The top slot is nonzero, so the
+    rows come out trimmed, and b(n, 0) = p(n) >= 1 keeps one slot.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     r_top = max_block_count(order)
     es = elementary_symmetric_series(r_top, order)
-    # column m = sum over r of C(r-m+1, m) * e_r, built as one list per m
-    columns = [[0] * (order + 1) for _ in range((r_top + 1) // 2 + 1)]
-    for r, e in enumerate(es):
-        low = r * (r + 1) // 2  # e_r vanishes below q^(r(r+1)/2)
-        for m, c in enumerate(fib_polynomial(r)):
-            column = columns[m]
-            column[low:] = [a + c * x for a, x in zip(column[low:], e.coeffs[low:])]
+    v = overpartition_numbers(order)[-1].bit_length() + 1
+    weights = [sum(c << m * v for m, c in enumerate(fib_polynomial(r))) for r in range(r_top + 1)]
+    mask = (1 << v) - 1
+    spares = sum(1 << (m * v + v - 1) for m in range((r_top + 1) // 2 + 1))
     rows = []
-    for row in zip(*columns):  # trim trailing zeros, keeping b(n, 0)
-        width = len(row)
-        while width > 1 and row[width - 1] == 0:
-            width -= 1
-        rows.append(row[:width])
+    for n, x in enumerate(_row_dots(es, weights)):
+        slots = -(-x.bit_length() // v)
+        if slots > (max_block_count(n) + 1) // 2 + 1 or x & spares:
+            raise SlotOverflowError(f"b(n, m) slot of {v} bits overflowed at order {order}")
+        rows.append(tuple([x >> m * v & mask for m in range(slots)]))
     return tuple(rows)

@@ -7,7 +7,10 @@ routes it is compared against. `euler_product_inverse` and
 `schoolbook_product` is the term-by-term reference for `*` and for the
 division by the pentagonal series. `elementary_symmetric_fold` keeps one
 plain list per rank and takes every size alone: the unpacked reference for
-the packed e_r table, quick enough to reach order 1000. `normalized_scan`
+the packed e_r table, quick enough to reach order 1000. `bivariate_columns`
+builds the triangle b(n, m) from that fold one column m at a time, one list
+pass per (r, m): the plain reference for the packed rows of
+`bivariate_gf`. `normalized_scan`
 folds the normalized matrices in one n at a time over plain lists; it is
 the per-step reference for the recurrence route, which sums Euler's
 identity instead.
@@ -15,7 +18,9 @@ identity instead.
 
 from operator import add, sub
 
+from blocksep.fibonacci import fib_polynomial
 from blocksep.qseries import TruncatedSeries, one
+from blocksep.symfun import max_block_count
 from blocksep.transfer import StatePair
 
 
@@ -68,6 +73,29 @@ def elementary_symmetric_fold(r_max, order):
                 t[i] += t[i - j]
             es[r][low:] = map(add, es[r][low:], t)
     return [TruncatedSeries(e) for e in es]
+
+
+def bivariate_columns(order):
+    """Rows of b(n, m) = sum_r C(r-m+1, m) * e_r[n], each trimmed of trailing zeros.
+
+    Column m is built as one plain list from the unpacked e_r fold, adding
+    C(r-m+1, m) * e_r for each rank r; no packing and no slot width.
+    """
+    r_top = max_block_count(order)
+    es = elementary_symmetric_fold(r_top, order)
+    columns = [[0] * (order + 1) for _ in range((r_top + 1) // 2 + 1)]
+    for r, e in enumerate(es):
+        low = r * (r + 1) // 2  # e_r vanishes below q^(r(r+1)/2)
+        for m, c in enumerate(fib_polynomial(r)):
+            column = columns[m]
+            column[low:] = [a + c * x for a, x in zip(column[low:], e.coeffs[low:])]
+    rows = []
+    for row in zip(*columns):  # trim trailing zeros, keeping b(n, 0)
+        width = len(row)
+        while width > 1 and row[width - 1] == 0:
+            width -= 1
+        rows.append(row[:width])
+    return tuple(rows)
 
 
 def normalized_scan(order):

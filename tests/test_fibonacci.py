@@ -210,6 +210,18 @@ class TestTilings:
         with pytest.raises(ValueError):
             tiling_to_word((Tile.OVERLINED_PAIR, Tile.PLAIN), 2)
 
+    @pytest.mark.parametrize("tiles", [("0",), (Tile.PLAIN, "10"), (None,)])
+    def test_tiling_to_word_rejects_non_tiles(self, tiles):
+        # anything but a Tile used to be read as a domino: ("0",) gave 10
+        with pytest.raises(ValueError, match="Tile"):
+            tiling_to_word(tiles, 2)
+
+    @pytest.mark.parametrize("positions", [{1.5}, {True}, {1, "2"}, {1.0}])
+    def test_independent_set_to_word_rejects_non_int_positions(self, positions):
+        # {1.5} passed the range check and was dropped; {True} read as 1
+        with pytest.raises(ValueError, match="int"):
+            independent_set_to_word(positions, 2)
+
 
 @pytest.mark.parametrize("call", [
     lambda: decoration_count(-1),

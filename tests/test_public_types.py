@@ -7,6 +7,8 @@ working lists.
 
 import pytest
 
+from blocksep.bruteforce import BlockPartition
+from blocksep.fibonacci import DecorationWord
 from blocksep.qseries import TruncatedSeries
 from blocksep.recurrence import euler_factorized_gf, normalized_recurrence
 from blocksep.symfun import (bivariate_gf, elementary_symmetric_series, fibonacci_weighted_gf,
@@ -61,3 +63,15 @@ def test_bivariate_gf():
     rows = bivariate_gf(12)
     assert type(rows) is tuple and len(rows) == 13
     assert all(type(row) is tuple for row in rows)
+
+
+
+@pytest.mark.parametrize("make, field, as_list, as_tuple", [
+    (DecorationWord, "bits", [0, 1, 0], (0, 1, 0)),
+    (BlockPartition, "blocks", [(2, 1), (1, 1)], ((2, 1), (1, 1))),
+    (BlockPartition, "blocks", [[3, 2]], ((3, 2),)),
+], ids=["DecorationWord", "BlockPartition", "BlockPartition_list_blocks"])
+def test_list_input_is_stored_as_tuples(make, field, as_list, as_tuple):
+    a, b = make(as_list), make(as_tuple)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert getattr(a, field) == as_tuple

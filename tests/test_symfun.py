@@ -3,6 +3,7 @@ import sys
 import pytest
 
 from blocksep import symfun
+from blocksep.fibonacci import fib, fib_polynomial
 from blocksep.qseries import (TruncatedSeries, euler_inverse, one, overpartition_numbers,
                               partition_numbers, s_block, zero)
 from blocksep.recurrence import euler_factorized_gf
@@ -14,7 +15,7 @@ from blocksep.symfun import (
     weighted_gf,
 )
 from blocksep.transfer import matrix_product_gf
-from series_folds import elementary_symmetric_fold, overpartition_product
+from series_folds import bivariate_columns, elementary_symmetric_fold, overpartition_product
 
 
 def series(*coeffs):
@@ -107,6 +108,15 @@ class TestElementarySymmetric:
                     elementary_symmetric_series(max_block_count(n), n)
             monkeypatch.undo()
 
+    def test_largest_entry_at_most_doubles(self):
+        # the premise of the decode check: if the largest e_r[k] at most
+        # doubles from k - 1 to k, the first slot to outgrow a narrow width
+        # still fits in it and sets its spare bit
+        n = 1000
+        table = elementary_symmetric_series(max_block_count(n), n)
+        largest = [max(column) for column in zip(*(e.coeffs for e in table))]
+        assert all(b <= 2 * a for a, b in zip(largest, largest[1:]))
+
     def test_rank_sums_at_order_1000(self):
         # sum_r e_r = 1/(q;q) and sum_r 2^r e_r = (-q;q)/(q;q), each against
         # its own sparse reciprocal, far past the orders the folds reach
@@ -137,8 +147,16 @@ class TestWeightedGF:
             # p~ by the theta-series reciprocal, the recurrence the CLI uses
             assert overpartition_numbers(n) == list(overpartition_product(n).coeffs), n
 
+    def test_signed_weights_match_the_reference_fold(self):
+        # weights need not be nonnegative: each row is a plain dot product
+        for weight in (lambda r: (-1) ** r, lambda r: 3 - 2 * r, lambda r: (-2) ** r * fib(r)):
+            for n in (0, 1, 7, 60, 200):
+                es = elementary_symmetric_fold(max_block_count(n), n)
+                expected = [sum(weight(r) * e.coeffs[k] for r, e in enumerate(es))
+                            for k in range(n + 1)]
+                assert weighted_gf(n, weight).coeffs == tuple(expected), n
+
     def test_fibonacci_weight_matches_named_route(self):
-        from blocksep.fibonacci import fib
 
         n = 30
         assert weighted_gf(n, lambda r: fib(r + 2)) == fibonacci_weighted_gf(n)
@@ -191,6 +209,37 @@ class TestBivariate:
     def test_rows_trimmed(self):
         for row in bivariate_gf(40):
             assert len(row) == 1 or row[-1] != 0
+
+    def test_matches_plain_reference(self):
+        # packed rows against one plain list per column, built from the
+        # unpacked e_r fold
+        for n in [*range(121), 500, 1000]:
+            assert bivariate_gf(n) == bivariate_columns(n), n
+
+    def test_largest_entry_at_most_doubles(self):
+        # the premise of the triangle's decode check, as for the e_r table
+        largest = [max(row) for row in bivariate_gf(1000)]
+        assert all(b <= 2 * a for a, b in zip(largest, largest[1:]))
+
+    def test_narrow_width_raises(self, monkeypatch):
+        # the slot width is read from p~(order); at the width whose spare bit
+        # the largest b(n, m) reaches, and at every narrower one, decode must
+        # raise instead of returning a wrong triangle
+        for n in (5, 30, 120):
+            largest = max(max(row) for row in bivariate_gf(n))
+            for w in range(2, largest.bit_length() + 1):
+                monkeypatch.setattr(symfun, "overpartition_numbers",
+                                    lambda order, w=w: [1 << (w - 2)] * (order + 1))
+                with pytest.raises(OverflowError):
+                    bivariate_gf(n)
+            monkeypatch.undo()
+
+    def test_extra_slot_raises(self, monkeypatch):
+        # a weight with a slot past C(r-m+1, m)'s last m makes every row one
+        # slot longer than r_n allows
+        monkeypatch.setattr(symfun, "fib_polynomial", lambda r: fib_polynomial(r) + (1,))
+        with pytest.raises(symfun.SlotOverflowError, match="b\\(n, m\\) slot"):
+            bivariate_gf(10)
 
 
 @pytest.mark.parametrize("call", [
