@@ -3,16 +3,16 @@
 The routes return this type, and the literal matrix API and the tests'
 reference folds compute with its kernels; the routes themselves fold over
 plain lists of ints. p(n), p~(n) and the recurrence route's Euler factor
-come from one in-place loop that divides a list by a sparse series. A
-series is kept modulo q^(order+1); coefficients are Python ints, so all
-arithmetic is exact at any size.
+come from one loop that divides a list by a sparse series, its terms grouped
+by sign under one scale. A series is kept modulo q^(order+1); coefficients
+are Python ints, so all arithmetic is exact at any size.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import count, takewhile
+from itertools import count
 from operator import add
 
 
@@ -84,6 +84,8 @@ class TruncatedSeries:
 
     def __mul__(self, other: TruncatedSeries | int) -> TruncatedSeries:
         """Cauchy product truncated at the order; no route multiplies two series."""
+        if isinstance(other, bool):  # True would pass as 1, as in the constructor
+            raise TypeError("cannot multiply a series by a bool")
         if isinstance(other, int):
             return TruncatedSeries(c * other for c in self.coeffs)
         if not isinstance(other, TruncatedSeries):
@@ -223,30 +225,41 @@ def partition_numbers(order: int) -> list[int]:
 def overpartition_numbers(order: int) -> list[int]:
     """p~(0) .. p~(order): the reciprocal of Gauss's theta series.
 
-    prod_{j>=1} (1 - q^j)/(1 + q^j) = 1 - sum_{k>=1} 2(-1)^(k+1) q^(k^2).
+    prod_{j>=1} (1 - q^j)/(1 + q^j) = 1 - 2 * sum_{k>=1} (-1)^(k+1) q^(k^2).
     """
-    return _sparse_divide(one(order).coeffs, ((k * k, 2 * (-1) ** (k + 1)) for k in count(1)))
+    odd, even = ((k * k for k in count(first, 2)) for first in (1, 2))
+    return _sparse_divide(one(order).coeffs, (2, odd, even))
 
 
-def _pentagonal() -> Iterator[tuple[int, int]]:
-    """Terms (g, c) of 1 - prod_{j>=1} (1 - q^j): g = k(3k -+ 1)/2, c = (-1)^(k+1), k >= 1."""
-    return ((k * (3 * k + s) // 2, (-1) ** (k + 1)) for k in count(1) for s in (-1, 1))
+def _pentagonal() -> tuple[int, Iterator[int], Iterator[int]]:
+    """1 - prod_{j>=1} (1 - q^j) = sum_{k>=1} (-1)^(k+1) q^(k(3k -+ 1)/2), as (1, plus, minus)."""
+    odd, even = ((k * (3 * k + s) // 2 for k in count(first, 2) for s in (-1, 1))
+                 for first in (1, 2))
+    return 1, odd, even
 
 
-def _sparse_divide(numerator: Iterable[int], terms: Iterable[tuple[int, int]]) -> list[int]:
-    """numerator / (1 - sum c*q^g) over terms (g, c) with g ascending from 1.
+def _sparse_divide(numerator: Iterable[int],
+                   divisor: tuple[int, Iterator[int], Iterator[int]]) -> list[int]:
+    """numerator / (1 - s * (sum_{g in plus} q^g - sum_{g in minus} q^g)).
 
-    A copy f of the numerator gets f[n] += sum_{g <= n} c * f[n - g] for n
-    ascending; terms may be endless.
+    divisor is (s, plus, minus); plus and minus are endless iterators of
+    disjoint ascending gaps from 1. f grows by one coefficient per n:
+    numerator[n] plus s times the sum of f[n - g] over the plus gaps g <= n
+    less the same sum over the minus gaps. Gap g joins its list as the
+    index -g at n = g; f then holds f[0..n-1], so f[-g] is f[n - g], each
+    term is one lookup and one add, and the only multiply is the one by s
+    per n.
     """
-    f = list(numerator)
-    order = len(f) - 1
-    terms = list(takewhile(lambda t: t[0] <= order, terms))
-    for n in range(1, order + 1):
-        total = f[n]
-        for g, c in terms:
-            if g > n:
-                break
-            total += c * f[n - g]
-        f[n] = total
+    s, plus, minus = divisor
+    next_plus, next_minus = next(plus), next(minus)
+    f, up, down = [], [], []
+    get = f.__getitem__
+    for n, x in enumerate(numerator):
+        if n == next_plus:
+            up.append(-n)
+            next_plus = next(plus)
+        if n == next_minus:
+            down.append(-n)
+            next_minus = next(minus)
+        f.append(x + s * (sum(map(get, up)) - sum(map(get, down))))
     return f

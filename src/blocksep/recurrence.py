@@ -16,6 +16,8 @@ sum_k G^k q^(T_k) / (q)_k, and only k with T_k <= order contribute. Since
 G^2 = I - G, each power is G^k = a_k I + b_k G with
 (a_{k+1}, b_{k+1}) = (b_k, a_k - b_k); a_k + b_k = F(2-k). The f1 part
 has negative coefficients, which is why the series type is signed.
+`normalized_recurrence` sums the pair forward; the route needs only the
+total, sum_k F(2-k) q^(T_k) / (q)_k, and sums it by Horner's rule.
 """
 
 from __future__ import annotations
@@ -56,4 +58,30 @@ def normalized_recurrence(order: int) -> StatePair:
 
 def euler_factorized_gf(order: int) -> TruncatedSeries:
     """Counting series, recurrence route: the normalized total divided by (q)_inf."""
-    return euler_inverse(order, normalized_recurrence(order).total())
+    return euler_inverse(order, TruncatedSeries(_normalized_total(order)))
+
+
+def _normalized_total(order: int) -> list[int]:
+    """f0 + f1 of `normalized_recurrence`, sum_k c_k q^(T_k) / (q)_k with c_k = F(2-k), by Horner.
+
+    q^(T_k) / (q)_k = y_1 .. y_k with y_k = q^k / (1 - q^k), so the sum over
+    k <= K, T_K <= order, folds from the inside out: acc <- c_{k-1} + y_k * acc
+    for k = K down to 1, from acc = c_K; c runs from (c_0, c_1) = (1, 1) by
+    c_{k+1} = c_{k-1} - c_k. The factors outside step k shift by T_{k-1}, so
+    acc keeps order - T_{k-1} + 1 coefficients after it, exactly k more than
+    before: the shift by k prepends k zeros and drops nothing. Each step is
+    that shift, one strided prefix sum per residue and acc[0] = c_{k-1}.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    top = (isqrt(8 * order + 1) - 1) // 2
+    c = [1, 1]
+    while len(c) <= top:
+        c.append(c[-2] - c[-1])
+    acc = [c[top]] + [0] * (order - top * (top + 1) // 2)
+    for k in range(top, 0, -1):
+        acc[:0] = repeat(0, k)
+        for r in range(k, min(2 * k, len(acc))):
+            acc[r::k] = accumulate(acc[r::k])
+        acc[0] = c[k - 1]
+    return acc

@@ -31,29 +31,38 @@ def elementary_symmetric_series(r_max: int, order: int) -> list[TruncatedSeries]
     """e_0 .. e_{r_max} of the block series S_1..S_order, truncated.
 
     All ranks are packed into one int per power of q: ys[k] holds e_r[k] in
-    the w-bit slot r. Below q^(order+1), S_j = q^j for j > h = order // 2 and
-    any two such terms multiply to zero, so those sizes give the start state
-    ys = 1 + y*(q^(h+1) + .. + q^order). Each size j = h..1 then multiplies by
-    1 + y*S_j: t[k] = ys_old[k-j] + t[k-j] is ys_old*S_j, added one rank up by
-    ys[k] += t[k] << w. Before pass j, ys counts skeletons with all parts
-    above j, so ys[1..j] are zero: the pass sets ys[j] = y*q^j and works from
-    k = 2j on. Slot r of ys[k] (of t[k]) counts the r-block ((r+1)-block)
-    skeletons of weight k with all parts >= j, a subset of those e_r[k]
-    (e_{r+1}[k]) counts, which are partitions of k: every slot stays <=
-    p(order), so w is that bound's bit length plus a spare bit and no slot
-    carries into the next. Decode checks each packed int once against the
-    spare bit of every rank and the bits above the top rank, raising
-    SlotOverflowError if any is set, then unpacks one rank at a time. e_r
-    with r(r+1)/2 > order comes out zero.
+    the w-bit slot r. Below q^(order+1), S_j = q^j + q^(2j) + q^(3j) for
+    j > m = order // 4 and any four such sizes sum past the order, so those
+    sizes give the start state ys = 1 + y*e1 + y^2*e2 + y^3*e3, with the
+    closed forms of e1, e2 and e3 that `transfer.matrix_product_gf` states
+    (this loop computes its own). Each size j = m..1 then multiplies by
+    1 + y*S_j: t[k] = ys_old[k-j] + t[k-j] is ys_old*S_j, added one rank up
+    by ys[k] += t[k] << w. Before pass j, ys counts skeletons with all parts
+    above j, so ys[1..j] are zero: the pass sets ys[j] = y*q^j and works
+    from k = 2j on. Slot r of ys[k] (of t[k]) counts the r-block
+    ((r+1)-block) skeletons of weight k with all parts >= j, a subset of
+    those e_r[k] (e_{r+1}[k]) counts, which are partitions of k: every slot
+    stays <= p(order), so w is that bound's bit length plus a spare bit and
+    no slot carries into the next. Decode checks each packed int once
+    against the spare bit of every rank and the bits above the top rank,
+    raising SlotOverflowError if any is set, then unpacks one rank at a
+    time. e_r with r(r+1)/2 > order comes out zero.
     """
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    n, h, top = order + 1, order // 2, max_block_count(order)
+    n, m, top = order + 1, order // 4, max_block_count(order)
     w = partition_numbers(order)[-1].bit_length() + 1
-    ys = [1] + [0] * h + [1 << w] * (order - h)
-    for j in range(h, 0, -1):
+    ys = [1] + [0] * order
+    for k in range(m + 1, n):
+        third = (k - 1) // 3  # largest a with 3a < k
+        e1 = 1 + (k % 2 == 0 and k > 2 * m) + (k % 3 == 0 and k > 3 * m)
+        e2 = (max(0, (k - 1) // 2 - m) + max(0, third - m)
+              + max(0, (third - k) // 2 - (m - k) // 2))
+        e3 = (max(0, k - 3 * m - 3) ** 2 + 6) // 12
+        ys[k] = e1 << w | e2 << 2 * w | e3 << 3 * w
+    for j in range(m, 0, -1):
         t = [0] * j + ys[:n - j]  # copied before ys[j] is set
         ys[j] = 1 << w
         for k in range(2 * j, n):

@@ -10,7 +10,10 @@ plain list per rank and takes every size alone: the unpacked reference for
 the packed e_r table, quick enough to reach order 1000. `bivariate_columns`
 builds the triangle b(n, m) from that fold one column m at a time, one list
 pass per (r, m): the plain reference for the packed rows of
-`bivariate_gf`. `normalized_scan`
+`bivariate_gf`. `term_division` divides by a sparse series one signed
+term (g, c) at a time, a multiply per term: the reference for the
+sign-grouped division loop behind p, p~ and the Euler factor, with its own
+`pentagonal_terms` and `theta_terms`. `normalized_scan`
 folds the normalized matrices in one n at a time over plain lists; it is
 the per-step reference for the recurrence route, which sums Euler's
 identity instead.
@@ -96,6 +99,40 @@ def bivariate_columns(order):
             width -= 1
         rows.append(row[:width])
     return tuple(rows)
+
+
+def pentagonal_terms(order):
+    """Terms (g, c) of 1 - prod_{j>=1} (1 - q^j) up to q^order.
+
+    c = (-1)^(k+1) at g = k(3k -+ 1)/2, k >= 1.
+    """
+    terms = [(k * (3 * k + s) // 2, (-1) ** (k + 1)) for k in range(1, order + 1) for s in (-1, 1)]
+    return [t for t in terms if t[0] <= order]
+
+
+def theta_terms(order):
+    """Terms (g, c) of 1 - prod_{j>=1} (1 - q^j)/(1 + q^j) up to q^order.
+
+    c = 2(-1)^(k+1) at g = k^2, k >= 1.
+    """
+    return [(k * k, 2 * (-1) ** (k + 1)) for k in range(1, order + 1) if k * k <= order]
+
+
+def term_division(numerator, terms):
+    """numerator / (1 - sum c*q^g) over terms (g, c) with g ascending from 1.
+
+    A copy f of the numerator gets f[n] += sum_{g <= n} c * f[n - g] for n
+    ascending, one multiply per term.
+    """
+    f = list(numerator)
+    for n in range(1, len(f)):
+        total = f[n]
+        for g, c in terms:
+            if g > n:
+                break
+            total += c * f[n - g]
+        f[n] = total
+    return f
 
 
 def normalized_scan(order):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,13 @@ from blocksep.qseries import (
     s_block,
     zero,
 )
-from series_folds import euler_product_inverse, schoolbook_product
+from series_folds import (
+    euler_product_inverse,
+    pentagonal_terms,
+    schoolbook_product,
+    term_division,
+    theta_terms,
+)
 
 
 def series(*coeffs):
@@ -96,6 +104,14 @@ class TestConstructors:
     def test_rejects_float_coefficients(self, coeffs):
         with pytest.raises(TypeError):
             TruncatedSeries(coeffs)
+
+    @pytest.mark.parametrize("scalar", [True, False])
+    def test_rejects_bool_scalar(self, scalar):
+        # as for coefficients: True would otherwise pass as 1
+        with pytest.raises(TypeError):
+            series(1, 2) * scalar
+        with pytest.raises(TypeError):
+            scalar * series(1, 2)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -248,6 +264,26 @@ class TestEulerInverse:
     def test_both_routes_agree_at_500(self):
         n = 500
         assert euler_inverse(n) == euler_product_inverse(n)
+
+    def test_division_matches_term_reference(self):
+        # the sign-grouped loop against one multiply per (g, c) term, at every
+        # order: p with scale 1, p~ with theta's scale 2
+        for n in range(301):
+            assert partition_numbers(n) == term_division(one(n).coeffs, pentagonal_terms(n)), n
+            assert overpartition_numbers(n) == term_division(one(n).coeffs, theta_terms(n)), n
+
+    def test_division_matches_term_reference_at_2000(self):
+        n = 2000
+        assert partition_numbers(n) == term_division(one(n).coeffs, pentagonal_terms(n))
+        assert overpartition_numbers(n) == term_division(one(n).coeffs, theta_terms(n))
+
+    def test_signed_numerator_matches_term_reference(self):
+        # the Euler factor divides a numerator with signed coefficients
+        rng = random.Random(20)
+        for n in (0, 1, 5, 40, 300):
+            numerator = [rng.randint(-10 ** 30, 10 ** 30) for _ in range(n + 1)]
+            assert list(euler_inverse(n, TruncatedSeries(numerator)).coeffs) == \
+                term_division(numerator, pentagonal_terms(n)), n
 
     def test_matches_brute_force_partition_count(self):
         from blocksep.bruteforce import enumerate_block_partitions

@@ -151,6 +151,16 @@ class TestEulerFactorizedGF:
     def test_order0(self):
         assert euler_factorized_gf(0) == one(0)
 
+    @pytest.mark.parametrize("order", [*range(81), 2000, 10000])
+    def test_horner_total_matches_forward_pair(self, order):
+        # the route folds only f0 + f1, inside out; the forward pair is its reference
+        assert recurrence._normalized_total(order) == \
+            list(normalized_recurrence(order).total().coeffs)
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            euler_factorized_gf(-1)
+
     def test_agrees_with_matrix_route(self):
         for n in (0, 1, 2, 3, 10, 60, 150, 1000):
             assert euler_factorized_gf(n) == matrix_product_gf(n), n

@@ -83,7 +83,7 @@ class TestElementarySymmetric:
             assert lowest == r * (r + 1) // 2, r
 
     def test_matches_reference_fold(self):
-        # the packed table, which takes every size above n/2 in one step,
+        # the packed table, which takes every size above n/4 in one step,
         # against the unpacked fold that takes each size alone, with r_max
         # below, at and above the largest rank that fits; the fold's e_r does
         # not depend on r_max, so one fold serves all three

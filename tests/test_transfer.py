@@ -126,7 +126,7 @@ class TestMatrixProductGF:
 
     def test_agrees_with_generic_fold(self):
         # the literal ascending fold against the route's descending passes:
-        # both parities of h = n // 2, and every j = h / h + 1 boundary. A
+        # every residue of n mod 4, and every j = m / m + 1 boundary. A
         # size j > n starts at q^j, so one fold at the top order holds the
         # fold at every lower order n as its first n + 1 coefficients
         top = 120
@@ -150,6 +150,25 @@ class TestMatrixProductGF:
             tail = apply_matrix(tail, transfer_matrix(j, n))
         t = sum((qpow(j, n) for j in range(n // 2 + 1, n + 1)), zero(n))
         assert tail == StatePair(v.f0 + t * (v.f0 + v.f1), v.f1 + t * v.f0)
+
+    @pytest.mark.parametrize("n", [24, 25, 26, 27])
+    def test_sizes_above_a_quarter_fold_to_one_step(self, n):
+        # pins the route's start state: for j > m = n // 4, prod M_j is
+        # I + e1*F + e2*F^2 + e3*F^3 = (1 + e2 + e3)*I + (e1 + e2 + 2*e3)*F,
+        # e_r of those S_j (e4 is zero), so (1, 0) starts as
+        # (1 + e1 + 2*e2 + 3*e3, e1 + e2 + 2*e3)
+        m = n // 4
+        e = [one(n)] + [zero(n)] * 4
+        for j in range(m + 1, n + 1):
+            for r in range(4, 0, -1):
+                e[r] = e[r] + e[r - 1] * s_block(j, n)
+        assert e[4] == zero(n) and e[3] != zero(n)
+        v = StatePair(series(*range(1, n + 2)), series(*range(n + 1, 0, -1)))
+        tail = v
+        for j in range(m + 1, n + 1):
+            tail = apply_matrix(tail, transfer_matrix(j, n))
+        a, b = e[0] + e[2] + e[3], e[1] + e[2] + e[3] + e[3]
+        assert tail == StatePair(a * v.f0 + b * (v.f0 + v.f1), a * v.f1 + b * v.f0)
 
     def test_agrees_with_recurrence_route_at_1201(self):
         assert matrix_product_gf(1201) == euler_factorized_gf(1201)
