@@ -42,7 +42,7 @@ from .qseries import (
     s_block,
     zero,
 )
-from .recurrence import euler_factorized_gf, normalized_recurrence
+from .recurrence import euler_factorized_gf, euler_factorized_triangle, normalized_recurrence
 from .symfun import (
     bivariate_gf,
     elementary_symmetric_series,
@@ -81,6 +81,7 @@ __all__ = [
     "enumerate_block_partitions",
     "enumerate_decorations",
     "euler_factorized_gf",
+    "euler_factorized_triangle",
     "euler_inverse",
     "fib",
     "fib_polynomial",

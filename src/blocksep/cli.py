@@ -392,12 +392,19 @@ BIVARIATE_FORMATS = {
         f"{n}: " + " ".join(str(c) for c in row) + "\n" for n, row in enumerate(rows)
     ),
     "csv": _bivariate_csv,
-    "json": lambda cfg, rows: _json_text(cfg.limit, rows, "symmetric", []),
+    "json": lambda cfg, rows: _json_text(cfg.limit, rows, "recurrence", []),
 }
 
 
 def cmd_bivariate(cfg: RunConfig, _args: argparse.Namespace) -> int:
-    return _emit(cfg, BIVARIATE_FORMATS, symfun.bivariate_gf(cfg.limit))
+    """The recurrence route's rows, after rows 0..ORACLE_WINDOW match the e_r triangle's."""
+    rows = recurrence.euler_factorized_triangle(cfg.limit)
+    for n, row in enumerate(symfun.bivariate_gf(min(cfg.limit, ORACLE_WINDOW))):
+        if rows[n] != row:
+            sys.stderr.write(f"triangle disagreement at n={n}: "
+                             f"recurrence {rows[n]} != symmetric {row}\n")
+            return EXIT_CHECK_FAILED
+    return _emit(cfg, BIVARIATE_FORMATS, rows)
 
 
 def render_decorated(d: DecoratedPartition) -> str:

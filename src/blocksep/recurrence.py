@@ -18,6 +18,14 @@ G^2 = I - G, each power is G^k = a_k I + b_k G with
 has negative coefficients, which is why the series type is signed.
 `normalized_recurrence` sums the pair forward; the route needs only the
 total, sum_k F(2-k) q^(T_k) / (q)_k, and sums it by Horner's rule.
+
+A marker t on the overlined transition turns G into G_t = [[0, t], [1, -1]]
+with G_t^2 = t I - G_t, so G_t^k = a_k I + b_k G_t with
+(a_{k+1}, b_{k+1}) = (t b_k, a_k - b_k) and the total weights are
+c_k(t) = a_k + t b_k. Dividing that total by (q)_inf gives
+sum_m b(n, m) t^m at q^n: `euler_factorized_triangle` evaluates it at
+t = 2^v (Kronecker substitution), so the same fold and division run on
+plain ints and each coefficient packs one row of the triangle.
 """
 
 from __future__ import annotations
@@ -26,7 +34,9 @@ from itertools import accumulate, repeat
 from math import isqrt
 from operator import add, mul
 
-from .qseries import TruncatedSeries, euler_inverse
+from .qseries import (TruncatedSeries, _pentagonal, _sparse_divide, euler_inverse,
+                      overpartition_numbers)
+from .symfun import _decode_rows
 from .transfer import StatePair
 
 
@@ -61,23 +71,42 @@ def euler_factorized_gf(order: int) -> TruncatedSeries:
     return euler_inverse(order, TruncatedSeries(_normalized_total(order)))
 
 
-def _normalized_total(order: int) -> list[int]:
-    """f0 + f1 of `normalized_recurrence`, sum_k c_k q^(T_k) / (q)_k with c_k = F(2-k), by Horner.
+def euler_factorized_triangle(order: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of b(n, m) for n = 0..order, recurrence route: the t-weighted total at t = 2^v.
 
+    Z[t] -> Z, t -> 2^v is a ring map, so the Horner fold and the pentagonal
+    division of the total, both on plain ints, leave sum_m b(n, m) 2^(m v) at
+    q^n exactly. Their intermediate values may be negative or of any size;
+    only the result needs the width: b(n, m) <= b(n) <= p~(order), so v is
+    that bound's bit length plus a spare bit, as in `symfun.bivariate_gf`,
+    and the rows are decoded and checked as there.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    v = overpartition_numbers(order)[-1].bit_length() + 1
+    return _decode_rows(_sparse_divide(_normalized_total(order, 1 << v), _pentagonal()), v, order)
+
+
+def _normalized_total(order: int, t: int = 1) -> list[int]:
+    """f0 + f1 of `normalized_recurrence`, sum_k c_k q^(T_k) / (q)_k, by Horner.
+
+    c_k = a_k + t b_k with (a, b) <- (t b, a - b) from (1, 0), the total
+    weights of G_t^k; at t = 1, c_k = F(2-k).
     q^(T_k) / (q)_k = y_1 .. y_k with y_k = q^k / (1 - q^k), so the sum over
     k <= K, T_K <= order, folds from the inside out: acc <- c_{k-1} + y_k * acc
-    for k = K down to 1, from acc = c_K; c runs from (c_0, c_1) = (1, 1) by
-    c_{k+1} = c_{k-1} - c_k. The factors outside step k shift by T_{k-1}, so
-    acc keeps order - T_{k-1} + 1 coefficients after it, exactly k more than
-    before: the shift by k prepends k zeros and drops nothing. Each step is
-    that shift, one strided prefix sum per residue and acc[0] = c_{k-1}.
+    for k = K down to 1, from acc = c_K. The factors outside step k shift by
+    T_{k-1}, so acc keeps order - T_{k-1} + 1 coefficients after it, exactly
+    k more than before: the shift by k prepends k zeros and drops nothing.
+    Each step is that shift, one strided prefix sum per residue and
+    acc[0] = c_{k-1}.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     top = (isqrt(8 * order + 1) - 1) // 2
-    c = [1, 1]
-    while len(c) <= top:
-        c.append(c[-2] - c[-1])
+    c, a, b = [], 1, 0
+    for _ in range(top + 1):
+        c.append(a + t * b)
+        a, b = t * b, a - b
     acc = [c[top]] + [0] * (order - top * (top + 1) // 2)
     for k in range(top, 0, -1):
         acc[:0] = repeat(0, k)

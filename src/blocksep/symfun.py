@@ -111,10 +111,7 @@ def bivariate_gf(order: int) -> tuple[tuple[int, ...], ...]:
     W_r = sum_m C(r-m+1, m) * 2^(m*v), so slot m of row n is b(n, m). Every
     partial sum adds nonnegative terms, and b(n, m) <= b(n) <= p~(n) <=
     p~(order), so v is that bound's bit length plus a spare bit and no slot
-    carries into the next. Row n has at most (r_n + 1) // 2 + 1 slots,
-    r_n = max_block_count(n); decode raises SlotOverflowError if a row has
-    more or a slot reaches the spare bit. The top slot is nonzero, so the
-    rows come out trimmed, and b(n, 0) = p(n) >= 1 keeps one slot.
+    carries into the next; `_decode_rows` checks and unpacks the rows.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -122,12 +119,23 @@ def bivariate_gf(order: int) -> tuple[tuple[int, ...], ...]:
     es = elementary_symmetric_series(r_top, order)
     v = overpartition_numbers(order)[-1].bit_length() + 1
     weights = [sum(c << m * v for m, c in enumerate(fib_polynomial(r))) for r in range(r_top + 1)]
+    return _decode_rows(_row_dots(es, weights), v, order)
+
+
+def _decode_rows(packed: list[int], v: int, order: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of b(n, m) from packed[n] = sum_m b(n, m) * 2^(m*v), n = 0..order.
+
+    Row n has at most (r_n + 1) // 2 + 1 slots, r_n = max_block_count(n),
+    and b(n, 0) = p(n) >= 1, so packed[n] > 0. Raises SlotOverflowError if
+    packed[n] is not positive, has more slots or sets a slot's spare bit.
+    The top slot is nonzero, so the rows come out trimmed.
+    """
     mask = (1 << v) - 1
-    spares = sum(1 << (m * v + v - 1) for m in range((r_top + 1) // 2 + 1))
+    spares = sum(1 << (m * v + v - 1) for m in range((max_block_count(order) + 1) // 2 + 1))
     rows = []
-    for n, x in enumerate(_row_dots(es, weights)):
+    for n, x in enumerate(packed):
         slots = -(-x.bit_length() // v)
-        if slots > (max_block_count(n) + 1) // 2 + 1 or x & spares:
+        if x <= 0 or slots > (max_block_count(n) + 1) // 2 + 1 or x & spares:
             raise SlotOverflowError(f"b(n, m) slot of {v} bits overflowed at order {order}")
         rows.append(tuple([x >> m * v & mask for m in range(slots)]))
     return tuple(rows)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from blocksep import bruteforce, cli, qseries, symfun, transfer
+from blocksep import bruteforce, cli, qseries, recurrence, symfun, transfer
 from blocksep.cli import main
 from blocksep.qseries import TruncatedSeries, euler_inverse
 from blocksep.symfun import weighted_gf
@@ -375,6 +375,31 @@ class TestBivariate:
         assert lines[1] == "0,1,0,0"
         assert lines[-1] == "6,11,19,1"
 
+    def test_window_disagreement_exits_1(self, capsys, monkeypatch):
+        # one more object at n = 9, m = 1 in the recurrence triangle only
+        edit_result(monkeypatch, recurrence, "euler_factorized_triangle",
+                    lambda rows, order: replaced(rows, 9, (30, 68, 10)))
+        err = "triangle disagreement at n=9: recurrence (30, 68, 10) != symmetric (30, 67, 10)\n"
+        assert run(capsys, "bivariate", "--limit", "40") == (1, "", err)
+
+    def test_window_check_reads_the_e_r_triangle(self, capsys, monkeypatch):
+        # rows 0..25 are compared with bivariate_gf, which reads the e_r table
+        e_r, triangle = symfun.elementary_symmetric_series, symfun.bivariate_gf
+        inside, calls = [], []
+
+        def spy_triangle(order):
+            inside.append(order)
+            try:
+                return triangle(order)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(symfun, "bivariate_gf", spy_triangle)
+        monkeypatch.setattr(symfun, "elementary_symmetric_series",
+                            lambda *a: calls.append((a, list(inside))) or e_r(*a))
+        assert run(capsys, "bivariate", "--limit", "40")[0] == 0
+        assert calls == [((6, 25), [25])]
+
 
 class TestList:
     def test_n5_has_19_items(self, capsys):
@@ -563,6 +588,7 @@ class TestConfigPlumbing:
 
         monkeypatch.setitem(cli.SERIES_METHODS, cli.RunConfig().method, exhausted)
         monkeypatch.setattr(symfun, "bivariate_gf", exhausted)
+        monkeypatch.setattr(recurrence, "euler_factorized_triangle", exhausted)
         assert run(capsys, command) == (2, "", "error: out of memory\n")
 
     @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS")

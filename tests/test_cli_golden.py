@@ -29,7 +29,7 @@ GOLDEN = """
 0 61ef19db0d054cdc57b5608ad39ac14446e52f746413a6146a8797a2b797a54a verify --limit 0 --format json
 0 008904fdbbc6e76b258edcfc185155c29747e2e39857685e0fdbc6c288df3f6c bivariate --limit 0 --format plain
 0 cd047df2d7e3875aed79378b39cdff79acc2f599eb91801548d46d3ac85258f5 bivariate --limit 0 --format csv
-0 0f64f9b973ae530ddbb9e5c31459c83654279fc5af012f8a39f12be68452e3d4 bivariate --limit 0 --format json
+0 dc115d747dd5e317b4be0561e07b1685e8ca536a2dc85d2596ef90a811402845 bivariate --limit 0 --format json
 0 6201e55a7eb1aa6c55635588585638ec7cd4089619a080411ef31a73481acab5 list --limit 0 --format plain
 0 0d53cc6c191feb3d45eff7901838859eae6008f2ad9589ba31890d89d22760a7 list --limit 0 --format csv
 0 9832e66d5fb20bde9aaf2d45274fb37e035b7143008d1262b6bd483e3fa39649 list --limit 0 --format json
@@ -68,7 +68,7 @@ GOLDEN = """
 0 c67f403697005f089835228083cfd40d49a62cb3cefbb9a088862026f224bb79 verify --limit 1 --format json
 0 965f04adc2f001b9a448e8513f4c1879e14068cc62dcc8668d3cd273db0d5dbd bivariate --limit 1 --format plain
 0 b7f560eb658a65b7060094def420c3c93cd7082552d70880a4493cec13534892 bivariate --limit 1 --format csv
-0 a3be0450468a419e4f81d367eb9faaafacf4553441de03114c4dd77d78749acd bivariate --limit 1 --format json
+0 ff2551e6ecdcc05c43768e7a45b8975cdc92e99cf2b1e51719fec31031bff46c bivariate --limit 1 --format json
 0 db54240700ed0651cc70d2f6086a503d4c91377bb40ef871017fa66b12a15cad list --limit 1 --format plain
 0 f91cd52e08c440ee65847b47eae7001dc472bdc6983e187dcc434dbca515eb17 list --limit 1 --format csv
 0 331bb9edacddde107f91961b1f2f15850792e1193b93121b658cebc9874ff640 list --limit 1 --format json
@@ -107,7 +107,7 @@ GOLDEN = """
 0 c0bdcbf2243c6bab504f75be3553d3424835fc44994fbe2a445cb5240b3df95c verify --limit 12 --format json
 0 6ac7cf74fd50e1d3cb29fb613ff1179896aa9b1f75c6485ce3ca84306cc1b1e7 bivariate --limit 12 --format plain
 0 5a5f87b4485a984ed7a07b097faa0e7c4a9571086d9fd0b7816015527d5d6826 bivariate --limit 12 --format csv
-0 4759b1de6a4b73f492266285068dc0259073b27b1a99bace49af41dc04061f71 bivariate --limit 12 --format json
+0 46f864655347556749626987e5ffe2ecda3d9c9e82d1cac41dd18418d76d6dee bivariate --limit 12 --format json
 0 f98fff29112c7d69841b3ead950d4f804cf25e78d0964be9a5ac38e3e0ce9a98 list --limit 12 --format plain
 0 5513454fe13ce681874258119ccd9084f9c463b39da37d61922115a385170bd8 list --limit 12 --format csv
 0 59e08367b33c1961e4306efe80ca323154ed783e395537c2f842f4ccbb965b7d list --limit 12 --format json
@@ -146,7 +146,7 @@ GOLDEN = """
 0 3cd1374363115c640be6755fef7870d14a194dca3b2fd642005ca8554f3b8aa0 verify --limit 40 --format json
 0 7186ddd329c62d81512f1ecf8ae501b49d1ef14f184d5ff95d33392c869d2a8d bivariate --limit 40 --format plain
 0 66c221535d0aabe8e0e196a85d07495b0058bbbdb7fb9f2b527458b882003d80 bivariate --limit 40 --format csv
-0 c071b40ebfa50e62866ff2d28f03c5a4172f220be66bd8b279018d7fb20528e2 bivariate --limit 40 --format json
+0 ea38641a21960429a06eb923542026a95f021abc963bf85ac1c3b655a5189fc7 bivariate --limit 40 --format json
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 list --limit 40 --format plain
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 list --limit 40 --format csv
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 list --limit 40 --format json

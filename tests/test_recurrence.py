@@ -2,7 +2,9 @@ import pytest
 
 from blocksep import fibonacci, recurrence, symfun, transfer
 from blocksep.qseries import TruncatedSeries, one, zero
-from blocksep.recurrence import euler_factorized_gf, normalized_recurrence
+from blocksep.recurrence import (euler_factorized_gf, euler_factorized_triangle,
+                                 normalized_recurrence)
+from blocksep.symfun import bivariate_gf
 from blocksep.transfer import (
     apply_matrix,
     matrix_product_gf,
@@ -10,7 +12,7 @@ from blocksep.transfer import (
     start_pair,
     transfer_matrix,
 )
-from series_folds import iter_normalized_pairs, normalized_scan_pair
+from series_folds import bivariate_columns, iter_normalized_pairs, normalized_scan_pair
 
 
 def series(*coeffs):
@@ -153,8 +155,9 @@ class TestEulerFactorizedGF:
 
     @pytest.mark.parametrize("order", [*range(81), 2000, 10000])
     def test_horner_total_matches_forward_pair(self, order):
-        # the route folds only f0 + f1, inside out; the forward pair is its reference
-        assert recurrence._normalized_total(order) == \
+        # the route folds only f0 + f1, inside out; the forward pair is its reference.
+        # (a, b) <- (t b, a - b) and c_k = a_k + t b_k give F(2-k) at t = 1
+        assert recurrence._normalized_total(order) == recurrence._normalized_total(order, 1) == \
             list(normalized_recurrence(order).total().coeffs)
 
     def test_rejects_negative(self):
@@ -190,3 +193,53 @@ class TestEulerFactorizedGF:
 
         wrong = euler_inverse(order, f0 + f1)
         assert wrong != matrix_product_gf(order)
+
+
+class TestEulerFactorizedTriangle:
+    def test_matches_plain_reference(self):
+        # the t-weighted fold at t = 2^v against one plain list per column,
+        # built from the unpacked e_r fold
+        for n in [*range(121), 500, 1000]:
+            assert euler_factorized_triangle(n) == bivariate_columns(n), n
+
+    def test_narrow_width_raises(self, monkeypatch):
+        # v is read from p~(order); at the width whose spare bit the largest
+        # b(n, m) reaches, and at every narrower one, decode must raise
+        for n in (5, 30, 120):
+            largest = max(max(row) for row in euler_factorized_triangle(n))
+            for w in range(2, largest.bit_length() + 1):
+                monkeypatch.setattr(recurrence, "overpartition_numbers",
+                                    lambda order, w=w: [1 << (w - 2)] * (order + 1))
+                with pytest.raises(symfun.SlotOverflowError):
+                    euler_factorized_triangle(n)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("edit", [lambda x: -x, lambda x: 0], ids=["negative", "zero"])
+    def test_nonpositive_packed_coefficient_raises(self, monkeypatch, edit):
+        # the Kronecker ints are signed until the division ends; b(n, 0) = p(n) >= 1
+        divide = recurrence._sparse_divide
+
+        def edited(*args):
+            packed = divide(*args)
+            packed[30] = edit(packed[30])
+            return packed
+
+        monkeypatch.setattr(recurrence, "_sparse_divide", edited)
+        with pytest.raises(symfun.SlotOverflowError, match="b\\(n, m\\) slot"):
+            euler_factorized_triangle(30)
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            euler_factorized_triangle(-1)
+
+    def test_reads_no_other_route(self, monkeypatch):
+        # independence: no Fibonacci number, e_r table or transfer-matrix fold
+        expected = bivariate_gf(200)
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("the recurrence triangle called another route")
+
+        monkeypatch.setattr(fibonacci, "fib", forbidden)
+        monkeypatch.setattr(symfun, "elementary_symmetric_series", forbidden)
+        monkeypatch.setattr(transfer, "matrix_product_gf", forbidden)
+        assert euler_factorized_triangle(200) == expected
