@@ -14,8 +14,6 @@ from .bruteforce import (
     DecoratedPartition,
     count_bivariate_oracle,
     count_block_separated,
-    count_overpartitions,
-    enumerate_block_partitions,
     list_block_separated,
 )
 from .fibonacci import (
@@ -31,18 +29,13 @@ from .fibonacci import (
     word_to_independent_set,
     word_to_tiling,
 )
-from .qseries import (
-    TruncatedSeries,
-    euler_inverse,
-    geometric_inverse,
-    one,
-    overpartition_numbers,
-    partition_numbers,
-    qpow,
-    s_block,
-    zero,
+from .qseries import TruncatedSeries, euler_inverse, overpartition_numbers, partition_numbers
+from .recurrence import (
+    StatePair,
+    euler_factorized_gf,
+    euler_factorized_triangle,
+    normalized_recurrence,
 )
-from .recurrence import euler_factorized_gf, euler_factorized_triangle, normalized_recurrence
 from .symfun import (
     bivariate_gf,
     elementary_symmetric_series,
@@ -50,15 +43,7 @@ from .symfun import (
     max_block_count,
     weighted_gf,
 )
-from .transfer import (
-    StatePair,
-    TransferMatrix,
-    apply_matrix,
-    matrix_product_gf,
-    normalized_matrix,
-    start_pair,
-    transfer_matrix,
-)
+from .transfer import matrix_product_gf
 
 __version__ = "0.1.0"
 
@@ -69,16 +54,12 @@ __all__ = [
     "DecorationWord",
     "StatePair",
     "Tile",
-    "TransferMatrix",
     "TruncatedSeries",
-    "apply_matrix",
     "bivariate_gf",
     "count_bivariate_oracle",
     "count_block_separated",
-    "count_overpartitions",
     "decoration_count",
     "elementary_symmetric_series",
-    "enumerate_block_partitions",
     "enumerate_decorations",
     "euler_factorized_gf",
     "euler_factorized_triangle",
@@ -86,23 +67,15 @@ __all__ = [
     "fib",
     "fib_polynomial",
     "fibonacci_weighted_gf",
-    "geometric_inverse",
     "independent_set_to_word",
     "list_block_separated",
     "matrix_product_gf",
     "max_block_count",
-    "normalized_matrix",
     "normalized_recurrence",
-    "one",
     "overpartition_numbers",
     "partition_numbers",
-    "qpow",
-    "s_block",
-    "start_pair",
     "tiling_to_word",
-    "transfer_matrix",
     "weighted_gf",
     "word_to_independent_set",
     "word_to_tiling",
-    "zero",
 ]

@@ -111,14 +111,6 @@ def _block_forms(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
             blocks.append((rem, 1))
 
 
-def enumerate_block_partitions(
-    n: int, *, cap: int = DEFAULT_WEIGHT_CAP
-) -> list[BlockPartition]:
-    """All partitions of n in block form, canonical descending order."""
-    _check_cap(n, cap, "partition enumeration")
-    return [BlockPartition(blocks) for blocks in _block_forms(n)]
-
-
 def _skeletons_by_blocks(n: int) -> Counter[int]:
     # Number of skeletons of n with r blocks, keyed by r; each one is built.
     return Counter(map(len, _block_forms(n)))
@@ -165,8 +157,3 @@ def count_bivariate_oracle(n: int, *, cap: int = DEFAULT_WEIGHT_CAP) -> dict[int
         out.update({m: k * c for m, c in tally.items()})
     return dict(out)
 
-
-def count_overpartitions(n: int, *, cap: int = DEFAULT_WEIGHT_CAP) -> int:
-    """Unrestricted overpartition count: each of r blocks may be overlined."""
-    _check_cap(n, cap, "overpartition count")
-    return sum(2**r * k for r, k in _skeletons_by_blocks(n).items())

@@ -1,11 +1,11 @@
 """Truncated formal power series in q with exact integer coefficients.
 
-The routes return this type, and the literal matrix API and the tests'
-reference folds compute with its kernels; the routes themselves fold over
-plain lists of ints. p(n), p~(n) and the recurrence route's Euler factor
-come from one loop that divides a list by a sparse series, its terms grouped
-by sign under one scale. A series is kept modulo q^(order+1); coefficients
-are Python ints, so all arithmetic is exact at any size.
+The routes return this type, and the tests' reference folds compute with
+its kernels; the routes themselves fold over plain lists of ints. p(n),
+p~(n) and the recurrence route's Euler factor come from one loop that
+divides a list by a sparse series, its terms grouped by sign under one
+scale. A series is kept modulo q^(order+1); coefficients are Python ints,
+so all arithmetic is exact at any size.
 """
 
 from __future__ import annotations
@@ -51,21 +51,9 @@ class TruncatedSeries:
     def __getitem__(self, k: int) -> int:
         return self.coefficient(k)
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def truncate(self, new_order: int) -> TruncatedSeries:
-        """Drop coefficients above new_order (which must not exceed order)."""
-        if not 0 <= new_order <= self.order:
-            raise ValueError(f"cannot truncate order {self.order} to {new_order}")
-        return TruncatedSeries(self.coeffs[: new_order + 1])
-
     def _check_order(self, other: TruncatedSeries) -> None:
         if len(self.coeffs) != len(other.coeffs):
-            raise ValueError(
-                f"order mismatch: {self.order} vs {other.order}; "
-                "truncate explicitly before mixing orders"
-            )
+            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
 
     def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
@@ -78,9 +66,6 @@ class TruncatedSeries:
             return NotImplemented
         self._check_order(other)
         return TruncatedSeries(a - b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries(-c for c in self.coeffs)
 
     def __mul__(self, other: TruncatedSeries | int) -> TruncatedSeries:
         """Cauchy product truncated at the order; no route multiplies two series."""
@@ -104,8 +89,9 @@ class TruncatedSeries:
         return NotImplemented
 
     # O(N) kernels for the factors of the transfer matrices, each equal to
-    # the generic product with its constructor series (property-tested). No
-    # route calls them: they are public API and the tests' reference folds.
+    # the generic product with its series (property-tested). No route calls
+    # them: the tests' reference folds use them, and perfbench/spans.py
+    # wraps them by name (ROADMAP item 1 retires those spans).
 
     def shift(self, j: int) -> TruncatedSeries:
         """Multiply by q^j, dropping exponents beyond the order."""
@@ -154,53 +140,6 @@ def _poly_str(coeffs: tuple[int, ...]) -> str:
     return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
-def zero(order: int) -> TruncatedSeries:
-    """The zero series at the given order."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    return TruncatedSeries((0,) * (order + 1))
-
-
-def one(order: int) -> TruncatedSeries:
-    """The constant series 1 at the given order."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    return TruncatedSeries((1,) + (0,) * order)
-
-
-def qpow(k: int, order: int) -> TruncatedSeries:
-    """The monomial q^k at the given order (zero if k exceeds it)."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if k < 0:
-        raise ValueError("exponent must be nonnegative")
-    c = [0] * (order + 1)
-    if k <= order:
-        c[k] = 1
-    return TruncatedSeries(c)
-
-
-def geometric_inverse(j: int, order: int) -> TruncatedSeries:
-    """1/(1 - q^j) truncated: coefficient of q^k is 1 iff j divides k."""
-    if j < 1:
-        raise ValueError("j must be a positive part size")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    return TruncatedSeries(1 if k % j == 0 else 0 for k in range(order + 1))
-
-
-def s_block(j: int, order: int) -> TruncatedSeries:
-    """Generating series q^j/(1 - q^j) of a nonempty block of parts of size j.
-
-    Coefficient of q^k is 1 iff k >= j and j divides k.
-    """
-    if j < 1:
-        raise ValueError("j must be a positive part size")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    return TruncatedSeries(1 if k >= j and k % j == 0 else 0 for k in range(order + 1))
-
-
 def euler_inverse(order: int, numerator: TruncatedSeries | None = None) -> TruncatedSeries:
     """numerator / prod_{j>=1} (1 - q^j) truncated; the numerator defaults to 1.
 
@@ -219,7 +158,9 @@ def euler_inverse(order: int, numerator: TruncatedSeries | None = None) -> Trunc
 
 def partition_numbers(order: int) -> list[int]:
     """p(0) .. p(order): the reciprocal of Euler's pentagonal series."""
-    return _sparse_divide(one(order).coeffs, _pentagonal())
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    return _sparse_divide([1] + [0] * order, _pentagonal())
 
 
 def overpartition_numbers(order: int) -> list[int]:
@@ -227,8 +168,10 @@ def overpartition_numbers(order: int) -> list[int]:
 
     prod_{j>=1} (1 - q^j)/(1 + q^j) = 1 - 2 * sum_{k>=1} (-1)^(k+1) q^(k^2).
     """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     odd, even = ((k * k for k in count(first, 2)) for first in (1, 2))
-    return _sparse_divide(one(order).coeffs, (2, odd, even))
+    return _sparse_divide([1] + [0] * order, (2, odd, even))
 
 
 def _pentagonal() -> tuple[int, Iterator[int], Iterator[int]]:

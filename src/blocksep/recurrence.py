@@ -30,6 +30,7 @@ plain ints and each coefficient packs one row of the triangle.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import accumulate, repeat
 from math import isqrt
 from operator import add, mul
@@ -37,7 +38,24 @@ from operator import add, mul
 from .qseries import (TruncatedSeries, _pentagonal, _sparse_divide, euler_inverse,
                       overpartition_numbers)
 from .symfun import _decode_rows
-from .transfer import StatePair
+
+
+@dataclass(frozen=True)
+class StatePair:
+    """Row vector of state weights: f0 ends plain, f1 ends overlined."""
+
+    f0: TruncatedSeries
+    f1: TruncatedSeries
+
+    def __post_init__(self):
+        if self.f0.order != self.f1.order:
+            raise ValueError(
+                f"state weights carry mixed orders {self.f0.order} and {self.f1.order}"
+            )
+
+    def total(self) -> TruncatedSeries:
+        """Sum over both final states."""
+        return self.f0 + self.f1
 
 
 def normalized_recurrence(order: int) -> StatePair:

@@ -3,107 +3,16 @@
 At each part size j the choices absent / present-plain / present-overlined
 are encoded in a 2x2 matrix over truncated series. State 0 means the last
 present block is plain, state 1 that it is overlined (which forbids
-overlining the next block).
+overlining the next block). Only the route is here: the literal matrices,
+their row-vector product and the forward fold that the tests compare it
+against live in tests/series_folds.py.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 
-from .qseries import TruncatedSeries, geometric_inverse, one, qpow, s_block, zero
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """2x2 matrix of series, indexed by (from_state, to_state)."""
-
-    e00: TruncatedSeries
-    e01: TruncatedSeries
-    e10: TruncatedSeries
-    e11: TruncatedSeries
-
-    def __post_init__(self):
-        orders = {self.e00.order, self.e01.order, self.e10.order, self.e11.order}
-        if len(orders) != 1:
-            raise ValueError(f"matrix entries carry mixed orders {sorted(orders)}")
-
-    @property
-    def order(self) -> int:
-        return self.e00.order
-
-    def entry(self, from_state: int, to_state: int) -> TruncatedSeries:
-        if from_state not in (0, 1) or to_state not in (0, 1):
-            raise IndexError("states are 0 (plain) and 1 (overlined)")
-        return (self.e00, self.e01, self.e10, self.e11)[2 * from_state + to_state]
-
-
-@dataclass(frozen=True)
-class StatePair:
-    """Row vector of state weights: f0 ends plain, f1 ends overlined."""
-
-    f0: TruncatedSeries
-    f1: TruncatedSeries
-
-    def __post_init__(self):
-        if self.f0.order != self.f1.order:
-            raise ValueError(
-                f"state weights carry mixed orders {self.f0.order} and {self.f1.order}"
-            )
-
-    @property
-    def order(self) -> int:
-        return self.f0.order
-
-    def total(self) -> TruncatedSeries:
-        """Sum over both final states."""
-        return self.f0 + self.f1
-
-
-def start_pair(order: int) -> StatePair:
-    """Initial weights (1, 0): no blocks yet, vacuously in the plain state."""
-    return StatePair(one(order), zero(order))
-
-
-def transfer_matrix(j: int, order: int) -> TransferMatrix:
-    """Transition weights at part size j.
-
-    [[1/(1-q^j), q^j/(1-q^j)], [q^j/(1-q^j), 1]]: from state 0 a block may
-    be absent, plain, or overlined; from state 1 an overlined block is
-    forbidden. For j > order this is the identity matrix.
-    """
-    if j < 1:
-        raise ValueError("j must be a positive part size")
-    block = s_block(j, order)
-    return TransferMatrix(
-        e00=geometric_inverse(j, order),
-        e01=block,
-        e10=block,
-        e11=one(order),
-    )
-
-
-def normalized_matrix(j: int, order: int) -> TransferMatrix:
-    """(1 - q^j) times the transfer matrix: [[1, q^j], [q^j, 1-q^j]]."""
-    if j < 1:
-        raise ValueError("j must be a positive part size")
-    qj = qpow(j, order)
-    return TransferMatrix(
-        e00=one(order),
-        e01=qj,
-        e10=qj,
-        e11=one(order) - qj,
-    )
-
-
-def apply_matrix(v: StatePair, m: TransferMatrix) -> StatePair:
-    """Row-vector times matrix: concatenates the choices at one part size."""
-    if v.order != m.order:
-        raise ValueError(f"order mismatch: vector {v.order} vs matrix {m.order}")
-    return StatePair(
-        f0=v.f0 * m.e00 + v.f1 * m.e10,
-        f1=v.f0 * m.e01 + v.f1 * m.e11,
-    )
+from .qseries import TruncatedSeries
 
 
 def matrix_product_gf(order: int) -> TruncatedSeries:

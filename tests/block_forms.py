@@ -4,6 +4,8 @@
 its in-place walk; `decorated_objects` builds every (skeleton, overlining)
 pair from all 2^r bit patterns, so it shares no code with the word
 enumerator or with the tallies of the oracles it is compared against.
+`count_overpartitions` tallies 2^r over the recursion's skeletons: p~(n)
+for the sandwich p <= b <= p~.
 """
 
 from collections import Counter
@@ -39,3 +41,8 @@ def decorated_objects(n, *, separated):
                 continue
             objects[blocks, bits] += 1
     return objects
+
+
+def count_overpartitions(n):
+    """Overpartitions of n: each of the r blocks of a skeleton may be overlined."""
+    return sum(2 ** len(blocks) for blocks in block_forms_recursive(n, n))

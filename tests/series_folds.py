@@ -1,6 +1,13 @@
 """Reference folds shared by the tests.
 
-Each multiplies an infinite product out factor by factor, so it shares no
+`transfer_matrix` and `normalized_matrix` are the paper's 2x2 matrices
+over series, as ((e00, e01), (e10, e11)) indexed (from state, to state);
+`matrix_fold` multiplies the row vector (1, 0) through them one part size
+at a time, the literal product the routes are compared against. The
+constructors `zero`, `one`, `qpow`, `s_block` and `geometric_inverse`
+build their entries coefficient by coefficient.
+
+Each fold multiplies an infinite product out factor by factor, so it shares no
 code with the pentagonal recurrence or with the in-place list loops of the
 routes it is compared against. `euler_product_inverse` and
 `overpartition_product` use the `TruncatedSeries` kernels;
@@ -22,9 +29,62 @@ identity instead.
 from operator import add, sub
 
 from blocksep.fibonacci import fib_polynomial
-from blocksep.qseries import TruncatedSeries, one
+from blocksep.qseries import TruncatedSeries
+from blocksep.recurrence import StatePair
 from blocksep.symfun import max_block_count
-from blocksep.transfer import StatePair
+
+
+def zero(order):
+    return TruncatedSeries([0] * (order + 1))
+
+
+def one(order):
+    return TruncatedSeries([1] + [0] * order)
+
+
+def qpow(k, order):
+    return TruncatedSeries(int(i == k) for i in range(order + 1))
+
+
+def s_block(j, order):
+    """q^j/(1 - q^j): a nonempty block of parts of size j."""
+    return TruncatedSeries(int(k >= j and k % j == 0) for k in range(order + 1))
+
+
+def geometric_inverse(j, order):
+    """1/(1 - q^j) = 1 + S_j."""
+    return TruncatedSeries(int(k % j == 0) for k in range(order + 1))
+
+
+def transfer_matrix(j, order):
+    """[[1/(1-q^j), S_j], [S_j, 1]]: from state 1 an overlined block is forbidden."""
+    s = s_block(j, order)
+    return (geometric_inverse(j, order), s), (s, one(order))
+
+
+def normalized_matrix(j, order):
+    """(1 - q^j) times the transfer matrix: [[1, q^j], [q^j, 1 - q^j]]."""
+    qj = qpow(j, order)
+    return (one(order), qj), (qj, one(order) - qj)
+
+
+def start_pair(order):
+    """(1, 0): no blocks yet, vacuously in the plain state."""
+    return StatePair(one(order), zero(order))
+
+
+def apply_matrix(v, m):
+    """Row vector v times the matrix m: the choices at one more part size."""
+    (e00, e01), (e10, e11) = m
+    return StatePair(v.f0 * e00 + v.f1 * e10, v.f0 * e01 + v.f1 * e11)
+
+
+def matrix_fold(order, js, matrix=transfer_matrix):
+    """(1, 0) times matrix(j, order) for each j of js in turn."""
+    v = start_pair(order)
+    for j in js:
+        v = apply_matrix(v, matrix(j, order))
+    return v
 
 
 def schoolbook_product(a, b):

@@ -19,13 +19,9 @@ from blocksep.fibonacci import (
 from blocksep.qseries import TruncatedSeries, euler_inverse
 from blocksep.recurrence import euler_factorized_gf
 from blocksep.symfun import bivariate_gf, fibonacci_weighted_gf, weighted_gf
-from blocksep.transfer import (
-    apply_matrix,
-    matrix_product_gf,
-    start_pair,
-    transfer_matrix,
-)
-from series_folds import overpartition_product
+from blocksep.transfer import matrix_product_gf
+from series_folds import (apply_matrix, matrix_fold, overpartition_product, start_pair,
+                          transfer_matrix)
 
 P_ROW = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
 PBAR_ROW = (1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232)
@@ -160,7 +156,4 @@ def test_criterion_8_sandwich_to_300():
 def test_criterion_9_truncation_cutoff_soundness():
     with criterion(9, "scanning sizes to 2N changes nothing at order N = 50"):
         n = 50
-        v = start_pair(n)
-        for j in range(1, 2 * n + 1):
-            v = apply_matrix(v, transfer_matrix(j, n))
-        assert v.total() == matrix_product_gf(n)
+        assert matrix_fold(n, range(1, 2 * n + 1)).total() == matrix_product_gf(n)

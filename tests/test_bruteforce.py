@@ -8,16 +8,14 @@ from blocksep.bruteforce import (
     _block_forms,
     count_bivariate_oracle,
     count_block_separated,
-    count_overpartitions,
-    enumerate_block_partitions,
     list_block_separated,
 )
 from blocksep.fibonacci import CapExceededError, DecorationWord
-from blocksep.qseries import euler_inverse, partition_numbers
+from blocksep.qseries import euler_inverse, overpartition_numbers, partition_numbers
 from blocksep.recurrence import euler_factorized_gf
 from blocksep.symfun import bivariate_gf, fibonacci_weighted_gf
 from blocksep.transfer import matrix_product_gf
-from block_forms import block_forms_recursive, decorated_objects
+from block_forms import block_forms_recursive, count_overpartitions, decorated_objects
 
 
 def all_decorations_unfiltered(r):
@@ -57,12 +55,13 @@ class TestBlockPartition:
 
 
 class TestEnumerateBlockPartitions:
+    """`_block_forms`, the walk behind the skeleton counts and the listing."""
+
     def test_n0(self):
-        assert enumerate_block_partitions(0) == [BlockPartition(())]
+        assert list(_block_forms(0)) == [()]
 
     def test_n4_canonical_order(self):
-        got = [p.blocks for p in enumerate_block_partitions(4)]
-        assert got == [
+        assert list(_block_forms(4)) == [
             ((4, 1),),
             ((3, 1), (1, 1)),
             ((2, 2),),
@@ -71,21 +70,17 @@ class TestEnumerateBlockPartitions:
         ]
 
     def test_counts_are_partition_numbers(self):
-        assert len(enumerate_block_partitions(4)) == 5
-        assert len(enumerate_block_partitions(10)) == 42
+        assert len(list(_block_forms(4))) == 5
+        assert len(list(_block_forms(10))) == 42
 
     def test_invariants_hold(self):
         for n in range(12):
-            for p in enumerate_block_partitions(n):
+            for blocks in _block_forms(n):
+                p = BlockPartition(blocks)
                 assert p.weight == n
                 parts = [part for part, _ in p.blocks]
                 assert parts == sorted(parts, reverse=True)
                 assert len(set(parts)) == len(parts)
-
-    def test_cap(self):
-        with pytest.raises(CapExceededError):
-            enumerate_block_partitions(61)
-        assert len(enumerate_block_partitions(61, cap=61)) > 0
 
 
 class TestBlockFormsWalk:
@@ -99,12 +94,13 @@ class TestBlockFormsWalk:
             assert sum(1 for _ in _block_forms(n)) == p[n], n
 
     def test_tallies_match_per_object_reference(self):
+        pbar = overpartition_numbers(25)
         for n in range(26):
             separated = decorated_objects(n, separated=True)
             unrestricted = decorated_objects(n, separated=False)
             assert set(separated.values()) == set(unrestricted.values()) == {1}
             assert count_block_separated(n) == len(separated), n
-            assert count_overpartitions(n) == len(unrestricted), n
+            assert pbar[n] == len(unrestricted), n
             by_overlines = Counter(sum(bits) for _, bits in separated)
             assert count_bivariate_oracle(n) == by_overlines, n
 
@@ -135,10 +131,10 @@ class TestListBlockSeparated:
     def test_n3_is_the_filtered_overpartition_list(self):
         got = {(d.skeleton.blocks, d.decoration.bits) for d in list_block_separated(3)}
         expected = set()
-        for p in enumerate_block_partitions(3):
-            for bits in all_decorations_unfiltered(p.num_blocks):
+        for blocks in block_forms_recursive(3, 3):
+            for bits in all_decorations_unfiltered(len(blocks)):
                 if is_block_separated(bits):
-                    expected.add((p.blocks, bits))
+                    expected.add((blocks, bits))
         assert got == expected
         assert len(got) == 7
         # the one classical overpartition of 3 that is dropped

@@ -2,18 +2,27 @@
 
 `TruncatedSeries` holds a tuple, `StatePair` two such series and the
 triangle a tuple of tuples, so no caller can see or change a route's
-working lists.
+working lists. The export list and the names the benchmark harness wraps
+are pinned here too.
 """
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 
+import blocksep
 from blocksep.bruteforce import BlockPartition
 from blocksep.fibonacci import DecorationWord
 from blocksep.qseries import TruncatedSeries
-from blocksep.recurrence import euler_factorized_gf, normalized_recurrence
+from blocksep.recurrence import StatePair, euler_factorized_gf, normalized_recurrence
 from blocksep.symfun import (bivariate_gf, elementary_symmetric_series, fibonacci_weighted_gf,
                              weighted_gf)
-from blocksep.transfer import StatePair, matrix_product_gf
+from blocksep.transfer import matrix_product_gf
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def assert_series(s, order):
@@ -75,3 +84,25 @@ def test_list_input_is_stored_as_tuples(make, field, as_list, as_tuple):
     a, b = make(as_list), make(as_tuple)
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert getattr(a, field) == as_tuple
+
+
+def test_star_import_gives_every_exported_name():
+    # a stale entry in __all__ makes `from blocksep import *` raise
+    namespace = {}
+    exec("from blocksep import *", namespace)
+    for name in blocksep.__all__:
+        assert namespace[name] is getattr(blocksep, name), name
+
+
+def test_names_the_harness_wraps_resolve(monkeypatch):
+    # perfbench/spans.py looks these up with getattr when it installs its
+    # spans, so deleting one breaks every traced benchmark run
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for _, module, attr in spans.LAYER_FUNCTIONS:
+        assert callable(getattr(importlib.import_module(f"blocksep.{module}"), attr, None)), attr
+    for methods in spans.KERNELS.values():
+        for method in methods:
+            assert callable(getattr(TruncatedSeries, method, None)), method

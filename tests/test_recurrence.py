@@ -1,18 +1,14 @@
 import pytest
 
 from blocksep import fibonacci, recurrence, symfun, transfer
-from blocksep.qseries import TruncatedSeries, one, zero
+from blocksep.qseries import TruncatedSeries
 from blocksep.recurrence import (euler_factorized_gf, euler_factorized_triangle,
                                  normalized_recurrence)
 from blocksep.symfun import bivariate_gf
-from blocksep.transfer import (
-    apply_matrix,
-    matrix_product_gf,
-    normalized_matrix,
-    start_pair,
-    transfer_matrix,
-)
-from series_folds import bivariate_columns, iter_normalized_pairs, normalized_scan_pair
+from blocksep.transfer import matrix_product_gf
+from series_folds import (apply_matrix, bivariate_columns, iter_normalized_pairs, matrix_fold,
+                          normalized_matrix, normalized_scan_pair, one, start_pair,
+                          transfer_matrix, zero)
 
 
 def series(*coeffs):
@@ -24,10 +20,7 @@ def mat_mul(x, y):
 
 
 def fold_normalized(order, steps):
-    v = start_pair(order)
-    for j in range(1, steps + 1):
-        v = apply_matrix(v, normalized_matrix(j, order))
-    return v
+    return matrix_fold(order, range(1, steps + 1), normalized_matrix)
 
 
 class TestNormalizedRecurrence:
@@ -125,7 +118,7 @@ class TestNormalizedRecurrence:
         final = pairs[-1].total()
         for m in range(order + 1):
             for n in range(m, order + 1):
-                assert pairs[n].total().truncate(m) == final.truncate(m)
+                assert pairs[n].total().coeffs[:m + 1] == final.coeffs[:m + 1]
 
 
 class TestFactorExtraction:

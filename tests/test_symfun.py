@@ -4,8 +4,8 @@ import pytest
 
 from blocksep import symfun
 from blocksep.fibonacci import fib, fib_polynomial
-from blocksep.qseries import (TruncatedSeries, euler_inverse, one, overpartition_numbers,
-                              partition_numbers, s_block, zero)
+from blocksep.qseries import (TruncatedSeries, euler_inverse, overpartition_numbers,
+                              partition_numbers)
 from blocksep.recurrence import euler_factorized_gf
 from blocksep.symfun import (
     bivariate_gf,
@@ -15,7 +15,8 @@ from blocksep.symfun import (
     weighted_gf,
 )
 from blocksep.transfer import matrix_product_gf
-from series_folds import bivariate_columns, elementary_symmetric_fold, overpartition_product
+from series_folds import (bivariate_columns, elementary_symmetric_fold, one,
+                          overpartition_product, s_block, zero)
 
 
 def series(*coeffs):
@@ -57,10 +58,7 @@ class TestElementarySymmetric:
         n = 12
         es = elementary_symmetric_series(8, n)
         for r, e in enumerate(es):
-            if r * (r + 1) // 2 > n:
-                assert e.is_zero(), r
-            else:
-                assert not e.is_zero(), r
+            assert (e == zero(n)) == (r * (r + 1) // 2 > n), r
 
     def test_matches_direct_expansion(self):
         # oracle: expand prod_j (1 + t*S_j) coefficient-wise in t

@@ -2,108 +2,71 @@ import random
 
 import pytest
 
-from blocksep.qseries import TruncatedSeries, euler_inverse, one, qpow, s_block, zero
-from blocksep.recurrence import euler_factorized_gf
-from blocksep.transfer import (
-    StatePair,
-    TransferMatrix,
-    apply_matrix,
-    matrix_product_gf,
-    normalized_matrix,
-    start_pair,
-    transfer_matrix,
-)
+from blocksep.qseries import TruncatedSeries, euler_inverse
+from blocksep.recurrence import StatePair, euler_factorized_gf
+from blocksep.transfer import matrix_product_gf
+from block_forms import count_overpartitions
+from series_folds import (apply_matrix, matrix_fold, normalized_matrix, one, qpow, s_block,
+                          start_pair, transfer_matrix, zero)
 
 
 def series(*coeffs):
     return TruncatedSeries(coeffs)
 
 
-def fold(order, js, matrix_builder=transfer_matrix):
-    v = start_pair(order)
-    for j in js:
-        v = apply_matrix(v, matrix_builder(j, order))
-    return v
-
-
 class TestTransferMatrix:
     def test_entries_against_primitives(self):
         for j in (1, 2, 3, 7):
-            m = transfer_matrix(j, 6)
-            assert m.entry(0, 0) == one(6) + s_block(j, 6)
-            assert m.entry(0, 1) == s_block(j, 6)
-            assert m.entry(1, 0) == s_block(j, 6)
-            assert m.entry(1, 1) == one(6)
+            assert transfer_matrix(j, 6) == ((one(6) + s_block(j, 6), s_block(j, 6)),
+                                             (s_block(j, 6), one(6)))
 
     def test_j1_order3(self):
-        m = transfer_matrix(1, 3)
-        assert m.e00 == series(1, 1, 1, 1)
-        assert m.e01 == series(0, 1, 1, 1)
-        assert m.e10 == series(0, 1, 1, 1)
-        assert m.e11 == series(1, 0, 0, 0)
+        assert transfer_matrix(1, 3) == ((series(1, 1, 1, 1), series(0, 1, 1, 1)),
+                                         (series(0, 1, 1, 1), series(1, 0, 0, 0)))
 
     def test_j2_order3(self):
-        m = transfer_matrix(2, 3)
-        assert m.e00 == series(1, 0, 1, 0)
-        assert m.e01 == series(0, 0, 1, 0)
+        (e00, e01), _ = transfer_matrix(2, 3)
+        assert e00 == series(1, 0, 1, 0)
+        assert e01 == series(0, 0, 1, 0)
 
     def test_identity_beyond_order(self):
-        m = transfer_matrix(7, 3)
-        assert m.e00 == one(3) and m.e11 == one(3)
-        assert m.e01 == zero(3) and m.e10 == zero(3)
-
-    def test_rejects_j_zero(self):
-        with pytest.raises(ValueError):
-            transfer_matrix(0, 3)
-
-    def test_rejects_mixed_orders(self):
-        with pytest.raises(ValueError, match="mixed orders"):
-            TransferMatrix(one(2), one(2), one(2), one(3))
+        assert transfer_matrix(7, 3) == ((one(3), zero(3)), (zero(3), one(3)))
 
 
 class TestNormalizedMatrix:
     def test_j1_order2(self):
-        m = normalized_matrix(1, 2)
-        assert m.e00 == one(2)
-        assert m.e01 == qpow(1, 2)
-        assert m.e10 == qpow(1, 2)
-        assert m.e11 == series(1, -1, 0)
+        assert normalized_matrix(1, 2) == ((one(2), qpow(1, 2)), (qpow(1, 2), series(1, -1, 0)))
 
     def test_defining_identity(self):
         for j in range(1, 9):
             n = 8
-            m = transfer_matrix(j, n)
             factor = one(n) - qpow(j, n)
-            normalized = normalized_matrix(j, n)
-            assert normalized.e00 == factor * m.e00
-            assert normalized.e01 == factor * m.e01
-            assert normalized.e10 == factor * m.e10
-            assert normalized.e11 == factor * m.e11
+            raw = transfer_matrix(j, n)
+            assert normalized_matrix(j, n) == tuple(tuple(factor * e for e in row) for row in raw)
 
     def test_identity_beyond_order(self):
-        m = normalized_matrix(5, 3)
-        assert m.e00 == one(3) and m.e11 == one(3)
-        assert m.e01 == zero(3) and m.e10 == zero(3)
+        assert normalized_matrix(5, 3) == ((one(3), zero(3)), (zero(3), one(3)))
 
 
 class TestApplyMatrix:
     def test_step1(self):
-        v = fold(3, [1])
+        v = matrix_fold(3, [1])
         assert v.f0 == series(1, 1, 1, 1)
         assert v.f1 == series(0, 1, 1, 1)
 
     def test_step2(self):
-        v = fold(3, [1, 2])
+        v = matrix_fold(3, [1, 2])
         assert v.f0 == series(1, 1, 2, 3)
         assert v.f1 == series(0, 1, 2, 2)
 
     def test_step3(self):
-        v = fold(3, [1, 2, 3])
+        v = matrix_fold(3, [1, 2, 3])
         assert v.f0 == series(1, 1, 2, 4)
         assert v.f1 == series(0, 1, 2, 3)
         assert v.total() == series(1, 2, 4, 7)
 
     def test_rejects_order_mismatch(self):
+        # the series product refuses to mix orders
         with pytest.raises(ValueError, match="order mismatch"):
             apply_matrix(start_pair(2), transfer_matrix(1, 3))
 
@@ -130,7 +93,7 @@ class TestMatrixProductGF:
         # size j > n starts at q^j, so one fold at the top order holds the
         # fold at every lower order n as its first n + 1 coefficients
         top = 120
-        reference = fold(top, range(1, top + 1)).total().coeffs
+        reference = matrix_fold(top, range(1, top + 1)).total().coeffs
         for n in range(top + 1):
             assert matrix_product_gf(n).coeffs == reference[:n + 1], n
 
@@ -138,7 +101,7 @@ class TestMatrixProductGF:
         n = 30
         js = list(range(1, n + 1))
         random.Random(13).shuffle(js)
-        assert fold(n, js).total() == matrix_product_gf(n)
+        assert matrix_fold(n, js).total() == matrix_product_gf(n)
 
     @pytest.mark.parametrize("n", [20, 21])
     def test_tail_sizes_fold_to_one_step(self, n):
@@ -179,7 +142,7 @@ class TestMatrixProductGF:
     def test_cutoff_soundness(self):
         # extending the scan past j = N multiplies by identities only
         n = 24
-        assert fold(n, range(1, n + 1)).total() == fold(n, range(1, 2 * n + 1)).total()
+        assert matrix_fold(n, range(1, n + 1)) == matrix_fold(n, range(1, 2 * n + 1))
 
     def test_start_state_matters(self):
         n = 3
@@ -190,8 +153,6 @@ class TestMatrixProductGF:
         assert v.total() != matrix_product_gf(n)
 
     def test_monotone_and_sandwiched(self):
-        from blocksep.bruteforce import count_overpartitions
-
         n = 25
         b = matrix_product_gf(n).coeffs
         p = euler_inverse(n).coeffs
@@ -200,11 +161,7 @@ class TestMatrixProductGF:
             assert p[i] <= b[i] <= count_overpartitions(i)
 
 
-@pytest.mark.parametrize("call, error", [
-    (lambda: normalized_matrix(0, 3), ValueError),
-    (lambda: matrix_product_gf(-1), ValueError),
-    (lambda: transfer_matrix(1, 3).entry(2, 0), IndexError),
-], ids=["normalized_matrix", "matrix_product_gf", "entry"])
-def test_rejects_bad_arguments(call, error):
-    with pytest.raises(error):
+@pytest.mark.parametrize("call", [lambda: matrix_product_gf(-1)], ids=["matrix_product_gf"])
+def test_rejects_bad_arguments(call):
+    with pytest.raises(ValueError):
         call()
