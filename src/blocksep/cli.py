@@ -14,10 +14,11 @@ import contextlib
 import csv
 import functools
 import io
+import itertools
 import json
 import os
 import sys
-from collections.abc import Callable, Collection, Iterator
+from collections.abc import Callable, Collection, Iterable, Iterator
 from dataclasses import dataclass
 from typing import TypeVar
 
@@ -167,20 +168,31 @@ def _discard_stdout() -> None:
             os.close(fd)
 
 
-def _csv_text(rows: list) -> str:
+def _csv_text(rows: Iterable) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)
     return buf.getvalue()
 
 
+# indent selects the pure-Python encoder, which yields a few bytes per piece
+_JSON_ENCODER = json.JSONEncoder(indent=2)
+_JSON_BATCH = 4096
+
+
 def _json_text(n: int, values: object, method: str, checks: list[dict], **extra) -> str:
+    """json.dumps(doc, indent=2) and a newline. The encoder's pieces are joined a
+    batch at a time, so the pieces of the whole text are never listed at once."""
     doc = {"n": n, "values": values, "method": method, "checks": checks}
     doc.update(extra)
-    return json.dumps(doc, indent=2) + "\n"
+    pieces, batches = _JSON_ENCODER.iterencode(doc), []
+    while batch := list(itertools.islice(pieces, _JSON_BATCH)):  # [] only once exhausted
+        batches.append("".join(batch))
+    batches.append("\n")
+    return "".join(batches)
 
 
-def _lines_text(lines: list[str]) -> str:
+def _lines_text(lines: Iterable[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
@@ -199,7 +211,8 @@ def _sequence(cfg: RunConfig, method: str) -> list[int]:
 
 SEQ_FORMATS = {
     "plain": lambda cfg, values, checks: " ".join(str(v) for v in values) + "\n",
-    "csv": lambda cfg, values, checks: _csv_text([["n", "b"], *enumerate(values)]),
+    "csv": lambda cfg, values, checks: _csv_text(
+        itertools.chain([["n", "b"]], enumerate(values))),
     "json": lambda cfg, values, checks: _json_text(cfg.limit, values, cfg.method, checks),
     "bfile": lambda cfg, values, checks: "".join(f"{n} {v}\n" for n, v in enumerate(values)),
 }
@@ -351,24 +364,25 @@ def _render_set(positions) -> str:
     return "{" + ",".join(str(p) for p in sorted(positions)) + "}"
 
 
-def _decorations_json(cfg: RunConfig, r: int, rows: list) -> str:
+def _decorations_json(cfg: RunConfig, r: int, rows: Iterable, count: int) -> str:
     values = [
         {"word": word, "independent_set": positions, "tiling": [t.value for t in tiles]}
         for word, positions, tiles in rows
     ]
-    return _json_text(r, values, "enumeration", [], count=len(rows))
+    return _json_text(r, values, "enumeration", [], count=count)
 
 
+# each renderer reads rows, a generator, once; count is its length
 DECORATION_FORMATS = {
-    "plain": lambda cfg, r, rows: _lines_text(
-        [f"{word or '-'}  {_render_set(positions)}  {_render_tiling(tiles)}"
-         for word, positions, tiles in rows] + [f"count {len(rows)}"]
-    ),
-    "csv": lambda cfg, r, rows: _csv_text(
-        [["word", "independent_set", "tiling"]]
-        + [[word or "-", " ".join(map(str, positions)), _render_tiling(tiles)]
-           for word, positions, tiles in rows]
-    ),
+    "plain": lambda cfg, r, rows, count: _lines_text(itertools.chain(
+        (f"{word or '-'}  {_render_set(positions)}  {_render_tiling(tiles)}"
+         for word, positions, tiles in rows), [f"count {count}"]
+    )),
+    "csv": lambda cfg, r, rows, count: _csv_text(itertools.chain(
+        [["word", "independent_set", "tiling"]],
+        ([word or "-", " ".join(map(str, positions)), _render_tiling(tiles)]
+         for word, positions, tiles in rows)
+    )),
     "json": _decorations_json,
 }
 
@@ -376,15 +390,15 @@ DECORATION_FORMATS = {
 def cmd_decorations(cfg: RunConfig, args: argparse.Namespace) -> int:
     r = _checked("r", _count, args.r)
     words = enumerate_decorations(r, cap=cfg.cap(fibonacci.DEFAULT_ENUMERATION_CAP))
-    rows = [(str(w), sorted(word_to_independent_set(w)), word_to_tiling(w)) for w in words]
-    return _emit(cfg, DECORATION_FORMATS, r, rows)
+    rows = ((str(w), sorted(word_to_independent_set(w)), word_to_tiling(w)) for w in words)
+    return _emit(cfg, DECORATION_FORMATS, r, rows, len(words))
 
 
 def _bivariate_csv(cfg: RunConfig, rows: tuple[tuple[int, ...], ...]) -> str:
     width = max(len(row) for row in rows)
     header = ["n"] + [f"m={m}" for m in range(width)]
-    body = [[n, *row] + [0] * (width - len(row)) for n, row in enumerate(rows)]
-    return _csv_text([header] + body)
+    body = ([n, *row] + [0] * (width - len(row)) for n, row in enumerate(rows))
+    return _csv_text(itertools.chain([header], body))
 
 
 BIVARIATE_FORMATS = {
@@ -433,13 +447,13 @@ def _list_json(cfg: RunConfig, items: list[DecoratedPartition]) -> str:
 
 
 LIST_FORMATS = {
-    "plain": lambda cfg, items: _lines_text(
-        [render_decorated(d) for d in items] + [f"count {len(items)}"]
-    ),
-    "csv": lambda cfg, items: _csv_text(
-        [["partition", "decoration"]]
-        + [[render_decorated(d), str(d.decoration)] for d in items]
-    ),
+    "plain": lambda cfg, items: _lines_text(itertools.chain(
+        map(render_decorated, items), [f"count {len(items)}"]
+    )),
+    "csv": lambda cfg, items: _csv_text(itertools.chain(
+        [["partition", "decoration"]],
+        ([render_decorated(d), str(d.decoration)] for d in items)
+    )),
     "json": _list_json,
 }
 

@@ -1,3 +1,4 @@
+import csv
 import errno
 import gc
 import io
@@ -8,12 +9,15 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from blocksep import bruteforce, cli, qseries, recurrence, symfun, transfer
 from blocksep.cli import main
+from blocksep.fibonacci import (enumerate_decorations, fib, word_to_independent_set,
+                                word_to_tiling)
 from blocksep.qseries import TruncatedSeries, euler_inverse
 from blocksep.symfun import weighted_gf
 
@@ -433,6 +437,76 @@ class TestList:
     def test_cap_exceeded(self, capsys):
         code, _, err = run(capsys, "list", "--limit", "21")
         assert code == 2 and "cap" in err
+
+
+def printed_rows(fmt, out):
+    """The rows of a list or decorations output, and the count it prints (csv prints none)."""
+    if fmt == "json":
+        doc = json.loads(out)
+        return doc["values"], doc["count"]
+    lines = out.splitlines()
+    if fmt == "csv":
+        return list(csv.reader(lines))[1:], None
+    last = re.fullmatch(r"count (\d+)", lines[-1])
+    return lines[:-1], int(last[1])
+
+
+class TestRendering:
+    """Rows reach the renderers as generators, and JSON is joined from batches of
+    encoder pieces; the output is what json.dumps and whole row lists gave."""
+
+    @pytest.mark.parametrize("fmt", cli.DECORATION_FORMATS)
+    @pytest.mark.parametrize("r", range(7))
+    def test_decoration_rows_are_read_once(self, capsys, r, fmt):
+        code, out, _ = run(capsys, "decorations", str(r), "--format", fmt)
+        rows, count = printed_rows(fmt, out)
+        assert code == 0 and len(rows) == fib(r + 2) and count in (None, fib(r + 2))
+        if r == 0:  # the empty word prints as "-"
+            assert rows == {"plain": ["-  {}  -"], "csv": [["-", "", "-"]],
+                            "json": [{"word": "", "independent_set": [], "tiling": []}]}[fmt]
+
+    @pytest.mark.parametrize("fmt", cli.LIST_FORMATS)
+    @pytest.mark.parametrize("n", range(7))
+    def test_list_rows_are_read_once(self, capsys, n, fmt):
+        code, out, _ = run(capsys, "list", "--limit", str(n), "--format", fmt)
+        rows, count = printed_rows(fmt, out)
+        expected = bruteforce.count_block_separated(n)
+        assert code == 0 and len(rows) == expected and count in (None, expected)
+
+    @pytest.mark.parametrize("doc", [
+        {"n": 16, "values": [{"word": str(w), "independent_set": sorted(word_to_independent_set(w)),
+                              "tiling": [t.value for t in word_to_tiling(w)]}
+                             for w in enumerate_decorations(16)],
+         "method": "enumeration", "checks": [], "count": fib(18)},
+        {"n": 0, "values": [], "method": "bruteforce", "checks": [], "count": 0},
+        {"n": 3, "values": [[1, [2, [], {}]], {"a": [], "b": {"c": [1, "x"]}}, []],
+         "method": "all", "checks": [{"name": "c", "range": "0..3", "status": "pass"}]},
+    ], ids=["decorations-16", "empty-values", "nested"])
+    def test_json_text_is_json_dumps(self, doc):
+        if doc["n"] == 16:  # several batches
+            assert sum(1 for _ in json.JSONEncoder(indent=2).iterencode(doc)) > 3 * cli._JSON_BATCH
+        assert cli._json_text(**doc) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("pieces", [cli._JSON_BATCH - 1, cli._JSON_BATCH,
+                                        cli._JSON_BATCH + 1, 3 * cli._JSON_BATCH])
+    def test_json_text_at_batch_boundaries(self, pieces):
+        doc = {"n": 0, "values": [0] * (pieces - 20), "method": "m", "checks": []}
+        assert sum(1 for _ in json.JSONEncoder(indent=2).iterencode(doc)) == pieces
+        assert cli._json_text(**doc) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("argv", [["decorations", "16", "--format", "json"],
+                                      ["list", "--limit", "14", "--format", "json"]])
+    def test_peak_memory_follows_the_output(self, capsys, argv):
+        # json.dumps lists every encoder piece before joining: 9 to 10 times the output
+        run(capsys, *argv)  # the parser and lazy imports are built once per process
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        assert code == 0 and peak <= 7 * len(out)
 
 
 class TestConfigPlumbing:
