@@ -48,10 +48,6 @@ class BlockPartition:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    @property
-    def weight(self) -> int:
-        return sum(part * mult for part, mult in self.blocks)
-
     def __str__(self) -> str:
         if not self.blocks:
             return "(empty)"

@@ -126,8 +126,9 @@ def _resolve_config(args: argparse.Namespace, formats: dict, settings: tuple) ->
 def _emit(cfg: RunConfig, renderers: dict, *data) -> int:
     """Render data in cfg's format; replace a regular --output whole, never partly.
 
-    An --output that exists and is not a regular file (a FIFO, a device) is
-    written directly: renaming a temporary file over it would replace it.
+    --output is resolved through symlinks first, so a link stays a link. A
+    target that is not a regular file (a FIFO, a device) is written directly:
+    renaming a temporary file over it would replace it.
     """
     text = renderers[cfg.format](cfg, *data)
     try:
@@ -135,15 +136,16 @@ def _emit(cfg: RunConfig, renderers: dict, *data) -> int:
             sys.stdout.write(text)
             sys.stdout.flush()
             return EXIT_OK
-        if os.path.exists(cfg.output) and not os.path.isfile(cfg.output):
-            with open(cfg.output, "w", encoding="utf-8") as fh:
+        target = os.path.realpath(cfg.output)
+        if os.path.exists(target) and not os.path.isfile(target):
+            with open(target, "w", encoding="utf-8") as fh:
                 fh.write(text)
             return EXIT_OK
-        tmp = f"{cfg.output}.{os.getpid()}.tmp"
+        tmp = f"{target}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(text)
-            os.replace(tmp, cfg.output)
+            os.replace(tmp, target)
         finally:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
@@ -218,9 +220,10 @@ SEQ_FORMATS = {
 }
 
 
-def cmd_seq(cfg: RunConfig, _args: argparse.Namespace) -> int:
+def _checked_sequence(cfg: RunConfig) -> tuple[list[int], list[dict]] | None:
+    """b(0..limit) by cfg.method and its checks; None once `all` reports a disagreement."""
     if cfg.method != "all":
-        return _emit(cfg, SEQ_FORMATS, _sequence(cfg, cfg.method), [])
+        return _sequence(cfg, cfg.method), []
     methods = list(SERIES_METHODS)
     if cfg.limit <= cfg.cap(ORACLE_WINDOW):
         methods.append("bruteforce")
@@ -232,10 +235,15 @@ def cmd_seq(cfg: RunConfig, _args: argparse.Namespace) -> int:
         at = {m: values[n] for m, values in results.items()}
         if len(set(at.values())) > 1:
             sys.stderr.write(f"method disagreement at n={n}: {at}\n")
-            return EXIT_CHECK_FAILED
-    checks = [{"name": "cross_method_equality", "range": f"0..{cfg.limit}",
-               "methods": sorted(results), "status": "pass"}]
-    return _emit(cfg, SEQ_FORMATS, results["matrix"], checks)
+            return None
+    return results["matrix"], [{"name": "cross_method_equality", "range": f"0..{cfg.limit}",
+                                "methods": sorted(results), "status": "pass"}]
+
+
+def cmd_seq(cfg: RunConfig, _args: argparse.Namespace) -> int:
+    if (found := _checked_sequence(cfg)) is None:
+        return EXIT_CHECK_FAILED
+    return _emit(cfg, SEQ_FORMATS, *found)
 
 
 def _table_plain(cfg: RunConfig, rows: dict[str, list[int]]) -> str:
@@ -260,9 +268,10 @@ TABLE_FORMATS = {
 
 
 def cmd_table(cfg: RunConfig, _args: argparse.Namespace) -> int:
-    b = _sequence(cfg, "matrix" if cfg.method == "all" else cfg.method)
+    if (found := _checked_sequence(cfg)) is None:
+        return EXIT_CHECK_FAILED
     rows = {"p": list(euler_inverse(cfg.limit).coeffs),
-            "pbar": overpartition_numbers(cfg.limit), "b": b}
+            "pbar": overpartition_numbers(cfg.limit), "b": found[0]}
     return _emit(cfg, TABLE_FORMATS, rows)
 
 

@@ -5,7 +5,8 @@ its kernels; the routes themselves fold over plain lists of ints. p(n),
 p~(n) and the recurrence route's Euler factor come from one loop that
 divides a list by a sparse series, its terms grouped by sign under one
 scale. A series is kept modulo q^(order+1); coefficients are Python ints,
-so all arithmetic is exact at any size.
+so all arithmetic is exact at any size. The packed-row decode that both
+triangles of b(n, m) share lives here too, so no route imports another.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import count
+from math import isqrt
 from operator import add
 
 
@@ -41,15 +43,6 @@ class TruncatedSeries:
     def order(self) -> int:
         """Highest retained exponent N."""
         return len(self.coeffs) - 1
-
-    def coefficient(self, k: int) -> int:
-        """Coefficient of q^k; k must not exceed the truncation order."""
-        if not 0 <= k <= self.order:
-            raise IndexError(f"coefficient of q^{k} unknown at order {self.order}")
-        return self.coeffs[k]
-
-    def __getitem__(self, k: int) -> int:
-        return self.coefficient(k)
 
     def _check_order(self, other: TruncatedSeries) -> None:
         if len(self.coeffs) != len(other.coeffs):
@@ -118,27 +111,6 @@ class TruncatedSeries:
             out[k] = c[k - j] + out[k - j]
         return TruncatedSeries(out)
 
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({_poly_str(self.coeffs)!r})"
-
-
-def _poly_str(coeffs: tuple[int, ...]) -> str:
-    terms = []
-    for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if k == 0:
-            terms.append(str(c))
-            continue
-        q = "q" if k == 1 else f"q^{k}"
-        if c == 1:
-            terms.append(q)
-        elif c == -1:
-            terms.append(f"-{q}")
-        else:
-            terms.append(f"{c}*{q}")
-    return " + ".join(terms).replace("+ -", "- ") if terms else "0"
-
 
 def euler_inverse(order: int, numerator: TruncatedSeries | None = None) -> TruncatedSeries:
     """numerator / prod_{j>=1} (1 - q^j) truncated; the numerator defaults to 1.
@@ -206,3 +178,33 @@ def _sparse_divide(numerator: Iterable[int],
             next_minus = next(minus)
         f.append(x + s * (sum(map(get, up)) - sum(map(get, down))))
     return f
+
+
+class SlotOverflowError(OverflowError):
+    """A packed kernel's decode check failed: a slot outgrew its width."""
+
+
+def max_block_count(order: int) -> int:
+    """Largest r whose minimal skeleton 1+2+..+r still fits: r(r+1)/2 <= order."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    return (isqrt(8 * order + 1) - 1) // 2
+
+
+def _decode_rows(packed: list[int], v: int, order: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of b(n, m) from packed[n] = sum_m b(n, m) * 2^(m*v), n = 0..order.
+
+    Row n has at most (r_n + 1) // 2 + 1 slots, r_n = max_block_count(n),
+    and b(n, 0) = p(n) >= 1, so packed[n] > 0. Raises SlotOverflowError if
+    packed[n] is not positive, has more slots or sets a slot's spare bit.
+    The top slot is nonzero, so the rows come out trimmed.
+    """
+    mask = (1 << v) - 1
+    spares = sum(1 << (m * v + v - 1) for m in range((max_block_count(order) + 1) // 2 + 1))
+    rows = []
+    for n, x in enumerate(packed):
+        slots = -(-x.bit_length() // v)
+        if x <= 0 or slots > (max_block_count(n) + 1) // 2 + 1 or x & spares:
+            raise SlotOverflowError(f"b(n, m) slot of {v} bits overflowed at order {order}")
+        rows.append(tuple([x >> m * v & mask for m in range(slots)]))
+    return tuple(rows)

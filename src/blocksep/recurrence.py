@@ -32,12 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from math import isqrt
 from operator import add, mul
 
-from .qseries import (TruncatedSeries, _pentagonal, _sparse_divide, euler_inverse,
-                      overpartition_numbers)
-from .symfun import _decode_rows
+from .qseries import (TruncatedSeries, _decode_rows, _pentagonal, _sparse_divide, euler_inverse,
+                      max_block_count, overpartition_numbers)
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,7 @@ def normalized_recurrence(order: int) -> StatePair:
     n = order + 1
     h, f0, f1 = [1] + [0] * order, [1] + [0] * order, [0] * n
     a, b = 1, 0
-    for k in range(1, (isqrt(8 * order + 1) - 1) // 2 + 1):
+    for k in range(1, max_block_count(order) + 1):
         t = k * (k + 1) // 2
         h[k:] = h[:n - k]
         h[:k] = repeat(0, k)
@@ -97,7 +95,7 @@ def euler_factorized_triangle(order: int) -> tuple[tuple[int, ...], ...]:
     q^n exactly. Their intermediate values may be negative or of any size;
     only the result needs the width: b(n, m) <= b(n) <= p~(order), so v is
     that bound's bit length plus a spare bit, as in `symfun.bivariate_gf`,
-    and the rows are decoded and checked as there.
+    and the one decode both triangles share, `qseries._decode_rows`, checks them.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -120,7 +118,7 @@ def _normalized_total(order: int, t: int = 1) -> list[int]:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    top = (isqrt(8 * order + 1) - 1) // 2
+    top = max_block_count(order)
     c, a, b = [], 1, 0
     for _ in range(top + 1):
         c.append(a + t * b)

@@ -8,23 +8,12 @@ blocks replaces F_{r+2} with the coefficients C(r-m+1, m).
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from operator import mul
 
 from .fibonacci import fib, fib_polynomial
-from .qseries import TruncatedSeries, overpartition_numbers, partition_numbers
-
-
-class SlotOverflowError(OverflowError):
-    """A packed kernel's decode check failed: a slot outgrew its width."""
-
-
-def max_block_count(order: int) -> int:
-    """Largest r whose minimal skeleton 1+2+..+r still fits: r(r+1)/2 <= order."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    return (math.isqrt(8 * order + 1) - 1) // 2
+from .qseries import (SlotOverflowError, TruncatedSeries, _decode_rows, max_block_count,
+                      overpartition_numbers, partition_numbers)
 
 
 def elementary_symmetric_series(r_max: int, order: int) -> list[TruncatedSeries]:
@@ -121,21 +110,3 @@ def bivariate_gf(order: int) -> tuple[tuple[int, ...], ...]:
     weights = [sum(c << m * v for m, c in enumerate(fib_polynomial(r))) for r in range(r_top + 1)]
     return _decode_rows(_row_dots(es, weights), v, order)
 
-
-def _decode_rows(packed: list[int], v: int, order: int) -> tuple[tuple[int, ...], ...]:
-    """Rows of b(n, m) from packed[n] = sum_m b(n, m) * 2^(m*v), n = 0..order.
-
-    Row n has at most (r_n + 1) // 2 + 1 slots, r_n = max_block_count(n),
-    and b(n, 0) = p(n) >= 1, so packed[n] > 0. Raises SlotOverflowError if
-    packed[n] is not positive, has more slots or sets a slot's spare bit.
-    The top slot is nonzero, so the rows come out trimmed.
-    """
-    mask = (1 << v) - 1
-    spares = sum(1 << (m * v + v - 1) for m in range((max_block_count(order) + 1) // 2 + 1))
-    rows = []
-    for n, x in enumerate(packed):
-        slots = -(-x.bit_length() // v)
-        if x <= 0 or slots > (max_block_count(n) + 1) // 2 + 1 or x & spares:
-            raise SlotOverflowError(f"b(n, m) slot of {v} bits overflowed at order {order}")
-        rows.append(tuple([x >> m * v & mask for m in range(slots)]))
-    return tuple(rows)

@@ -36,7 +36,7 @@ class TestBlockPartition:
 
     def test_weight_and_blocks(self):
         p = BlockPartition(((3, 1), (1, 2)))
-        assert p.weight == 5 and p.num_blocks == 2
+        assert sum(part * mult for part, mult in p.blocks) == 5 and p.num_blocks == 2
 
     def test_rejects_nonincreasing_parts(self):
         with pytest.raises(ValueError):
@@ -77,7 +77,7 @@ class TestEnumerateBlockPartitions:
         for n in range(12):
             for blocks in _block_forms(n):
                 p = BlockPartition(blocks)
-                assert p.weight == n
+                assert sum(part * mult for part, mult in p.blocks) == n
                 parts = [part for part, _ in p.blocks]
                 assert parts == sorted(parts, reverse=True)
                 assert len(set(parts)) == len(parts)

@@ -170,6 +170,16 @@ class TestTable:
         code, _, err = run(capsys, "table", "--limit", "3", "--format", "bfile")
         assert code == 2 and "format" in err
 
+    def test_all_reports_disagreement_on_stderr(self, capsys, monkeypatch):
+        # as for seq: every route runs, and a disagreement prints nothing
+        symmetric = cli.SERIES_METHODS["symmetric"]
+        monkeypatch.setitem(cli.SERIES_METHODS, "symmetric", lambda order: TruncatedSeries(
+            replaced(symmetric(order).coeffs, 3, 8)))
+        code, out, err = run(capsys, "table", "--limit", "10", "--method", "all")
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["method disagreement at n=3: {'matrix': 7, "
+                                    "'recurrence': 7, 'symmetric': 8, 'bruteforce': 7}"]
+
 
 VERIFY_CHECK_NAMES = ("cross_method_equality", "oracle_weighted_count",
                       "oracle_explicit_listing", "bivariate_oracle", "sandwich")
@@ -559,6 +569,18 @@ class TestConfigPlumbing:
         assert list(tmp_path.iterdir()) == [fifo]
         _, stdout, _ = run(capsys, "seq", "--limit", "6")
         assert received == [stdout.encode()]
+
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs os.symlink")
+    def test_output_symlink_is_followed_not_replaced(self, capsys, tmp_path):
+        target = tmp_path / "target.txt"
+        target.write_text("older and longer contents\n")
+        link = tmp_path / "link"
+        link.symlink_to(target)
+        code, out, _ = run(capsys, "seq", "--limit", "3", "--output", str(link))
+        assert code == 0 and out == ""
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == "1 2 4 7\n"
+        assert sorted(tmp_path.iterdir()) == [link, target]
 
     def test_output_to_missing_directory_exits_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "out.txt"

@@ -118,12 +118,6 @@ class TestConstructors:
         assert qpow(2, 4) == series(0, 0, 1, 0, 0)
         assert qpow(5, 3) == zero(3)
 
-    def test_coefficient_access(self):
-        a = series(1, 2, 3)
-        assert a[0] == 1 and a.coefficient(2) == 3
-        with pytest.raises(IndexError):
-            a.coefficient(3)
-
     def test_geometric_inverse_values(self):
         assert geometric_inverse(1, 3) == series(1, 1, 1, 1)
         assert geometric_inverse(2, 5) == series(1, 0, 1, 0, 1, 0)
@@ -273,13 +267,6 @@ class TestEulerInverse:
         coeffs = euler_inverse(40).coeffs
         for n in range(41):
             assert coeffs[n] == sum(1 for _ in _block_forms(n))
-
-
-def test_repr_is_readable():
-    assert "2*q" in repr(series(1, 2))
-    assert repr(zero(2)) == "TruncatedSeries('0')"
-    assert repr(series(0, 1, 0, -1)) == "TruncatedSeries('q - q^3')"
-    assert repr(series(1, -1)) == "TruncatedSeries('1 - q')"
 
 
 def test_hash_follows_equality():
