@@ -126,9 +126,9 @@ def _resolve_config(args: argparse.Namespace, formats: dict, settings: tuple) ->
 def _emit(cfg: RunConfig, renderers: dict, *data) -> int:
     """Render data in cfg's format; replace a regular --output whole, never partly.
 
-    --output is resolved through symlinks first, so a link stays a link. A
-    target that is not a regular file (a FIFO, a device) is written directly:
-    renaming a temporary file over it would replace it.
+    A target that is not a regular file (a FIFO, /dev/stdout) is written as
+    given, since a rename would replace it; a regular file is replaced at its
+    symlink-resolved path, so a link stays a link.
     """
     text = renderers[cfg.format](cfg, *data)
     try:
@@ -136,11 +136,11 @@ def _emit(cfg: RunConfig, renderers: dict, *data) -> int:
             sys.stdout.write(text)
             sys.stdout.flush()
             return EXIT_OK
-        target = os.path.realpath(cfg.output)
-        if os.path.exists(target) and not os.path.isfile(target):
-            with open(target, "w", encoding="utf-8") as fh:
+        if os.path.exists(cfg.output) and not os.path.isfile(cfg.output):
+            with open(cfg.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
             return EXIT_OK
+        target = os.path.realpath(cfg.output)
         tmp = f"{target}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:

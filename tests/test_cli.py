@@ -582,6 +582,26 @@ class TestConfigPlumbing:
         assert target.read_text() == "1 2 4 7\n"
         assert sorted(tmp_path.iterdir()) == [link, target]
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_output_pipe_by_dev_fd_path_is_written(self, capsys):
+        # /dev/fd/N of a pipe links to "pipe:[inode]", which is no path: the
+        # write must go through the name as given, not a resolved one.
+        read_fd, write_fd = os.pipe()
+        received = []
+        reader = threading.Thread(target=lambda: received.append(os.read(read_fd, 1 << 16)),
+                                  daemon=True)
+        reader.start()
+        try:
+            code, out, err = run(capsys, "seq", "--limit", "6",
+                                 "--output", f"/dev/fd/{write_fd}")
+            reader.join(timeout=30)
+        finally:
+            os.close(write_fd)
+            os.close(read_fd)
+        assert code == 0 and out == "" and err == ""
+        _, stdout, _ = run(capsys, "seq", "--limit", "6")
+        assert received == [stdout.encode()]
+
     def test_output_to_missing_directory_exits_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "out.txt"
         code, out, err = run(capsys, "seq", "--limit", "5", "--output", str(target))
