@@ -10,74 +10,92 @@ touches Fibonacci numbers and is therefore the ultimate oracle.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from itertools import repeat
 
-from .fibonacci import (
-    CapExceededError,
-    DecorationWord,
-    decoration_count,
-    enumerate_decorations,
-)
+from .fibonacci import CapExceededError, DecorationWord, decoration_count, enumerate_decorations
 
 DEFAULT_WEIGHT_CAP = 60
 DEFAULT_LISTING_CAP = 20
 
 
-@dataclass(frozen=True, slots=True)
-class BlockPartition:
+class _Value:
+    """An immutable value: compared, hashed, shown and pickled by its __slots__, which
+    __init__ sets once through the slots' own setters, _setters, past __setattr__."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot change {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class BlockPartition(_Value):
     """A partition grouped into blocks: ((part, multiplicity), ...).
 
-    Parts are strictly decreasing and every multiplicity is positive.
+    Parts are strictly decreasing ints and every multiplicity is a positive int.
     """
 
-    blocks: tuple[tuple[int, int], ...]
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
-        if type(self.blocks) is not tuple:  # a list would make the partition unhashable
-            object.__setattr__(self, "blocks", tuple(map(tuple, self.blocks)))
-        last = None
-        for part, mult in self.blocks:
-            if part < 1 or mult < 1:
-                raise ValueError(f"bad block {(part, mult)}")
+    def __init__(self, blocks: Iterable[Iterable[int]]) -> None:
+        blocks, last, exact = tuple(blocks), None, True
+        for block in blocks:
+            part, mult = block
+            if type(part) is not int or type(mult) is not int or part < 1 or mult < 1:
+                raise ValueError(f"bad block {(part, mult)}")  # bool is not int here
             if last is not None and part >= last:
                 raise ValueError("parts must be strictly decreasing")
-            last = part
+            last, exact = part, exact and type(block) is tuple
+        self._setters[0](self, blocks if exact else tuple(map(tuple, blocks)))  # lists: unhashable
 
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
 
     def __str__(self) -> str:
-        if not self.blocks:
-            return "(empty)"
-        return "+".join(
-            "+".join([str(part)] * mult) for part, mult in self.blocks
-        )
+        return "+".join("+".join([str(part)] * mult) for part, mult in self.blocks) or "(empty)"
 
 
-@dataclass(frozen=True, slots=True)
-class DecoratedPartition:
+class DecoratedPartition(_Value):
     """A block partition plus the word saying which blocks are overlined."""
 
-    skeleton: BlockPartition
-    decoration: DecorationWord
+    __slots__ = ("skeleton", "decoration")
 
-    def __post_init__(self):
-        if len(self.decoration) != self.skeleton.num_blocks:
-            raise ValueError(
-                f"decoration length {len(self.decoration)} does not match "
-                f"{self.skeleton.num_blocks} blocks"
-            )
+    def __init__(self, skeleton: BlockPartition, decoration: DecorationWord) -> None:
+        if len(decoration.bits) != len(skeleton.blocks):
+            raise ValueError(f"decoration length {len(decoration.bits)} does not match "
+                             f"{len(skeleton.blocks)} blocks")
+        set_skeleton, set_decoration = self._setters
+        set_skeleton(self, skeleton)
+        set_decoration(self, decoration)
 
 
 def _check_cap(n: int, cap: int, what: str) -> None:
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > cap:
-        raise CapExceededError(
-            f"{what} for n={n} exceeds cap {cap}; raise the cap explicitly"
-        )
+        raise CapExceededError(f"{what} for n={n} exceeds cap {cap}; raise the cap explicitly")
 
 
 def _block_forms(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -107,20 +125,31 @@ def _block_forms(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
             blocks.append((rem, 1))
 
 
-def _skeletons_by_blocks(n: int) -> Counter[int]:
-    # Number of skeletons of n with r blocks, keyed by r; each one is built.
-    return Counter(map(len, _block_forms(n)))
+def _skeletons_by_blocks(n: int) -> list[Counter[int]]:
+    """Skeletons of each weight k <= n by block count, from one walk over the partitions of n.
+
+    Adding n - k ones maps the partitions of k one-to-one onto those of n with at
+    least n - k ones, so a partition of n with s blocks besides its m ones stands
+    for one skeleton of n - j for each j <= m: with s + 1 blocks while j < m.
+    """
+    shapes = Counter((len(b) - 1, b[-1][1]) if b and b[-1][0] == 1 else (len(b), 0)
+                     for b in _block_forms(n))
+    out: list[Counter[int]] = [Counter() for _ in range(n + 1)]
+    for (s, m), count in shapes.items():
+        out[n - m][s] += count
+        for k in range(n - m + 1, n + 1):
+            out[k][s + 1] += count
+    return out
 
 
-def count_block_separated(n: int, *, cap: int = DEFAULT_WEIGHT_CAP) -> int:
-    """b(n) by brute force: each skeleton contributes F_{r+2} decorations."""
+def count_block_separated(n: int, *, cap: int = DEFAULT_WEIGHT_CAP) -> list[int]:
+    """b(0..n) by brute force: each skeleton with r blocks contributes F_{r+2} decorations."""
     _check_cap(n, cap, "weighted brute-force count")
-    return sum(decoration_count(r) * k for r, k in _skeletons_by_blocks(n).items())
+    return [sum(decoration_count(r) * count for r, count in tally.items())
+            for tally in _skeletons_by_blocks(n)]
 
 
-def list_block_separated(
-    n: int, *, cap: int = DEFAULT_LISTING_CAP
-) -> list[DecoratedPartition]:
+def list_block_separated(n: int, *, cap: int = DEFAULT_LISTING_CAP) -> list[DecoratedPartition]:
     """Every block-separated overpartition of n, explicitly.
 
     Skeleton-major canonical order, decorations lexicographic within a
@@ -134,22 +163,25 @@ def list_block_separated(
         r = len(blocks)
         if r not in words_by_r:
             words_by_r[r] = enumerate_decorations(r, cap=r)
-        skeleton = BlockPartition(blocks)
-        out.extend(DecoratedPartition(skeleton, word) for word in words_by_r[r])
+        out.extend(map(DecoratedPartition, repeat(BlockPartition(blocks)), words_by_r[r]))
     return out
 
 
-def count_bivariate_oracle(n: int, *, cap: int = DEFAULT_WEIGHT_CAP) -> dict[int, int]:
-    """Counts of block-separated overpartitions of n by number of overlines.
+def count_bivariate_oracle(n: int, *, cap: int = DEFAULT_WEIGHT_CAP) -> list[dict[int, int]]:
+    """Rows 0..n: row k counts the block-separated overpartitions of k by overlines.
 
-    The words of each block count r are enumerated and tallied by overline
-    count, and each tally is weighted by the number of skeletons with r
-    blocks, so each (skeleton, word) pair is counted once.
+    The words of each block count r are enumerated and tallied by overline count
+    once per call, and each tally is weighted by the number of skeletons of k
+    with r blocks, so each (skeleton, word) pair is counted once. Keys ascend.
     """
     _check_cap(n, cap, "bivariate brute-force count")
-    out: Counter[int] = Counter()
-    for r, k in _skeletons_by_blocks(n).items():
-        tally = Counter(w.overline_count for w in enumerate_decorations(r, cap=r))
-        out.update({m: k * c for m, c in tally.items()})
-    return dict(out)
-
+    by_blocks = _skeletons_by_blocks(n)
+    words = {r: Counter(w.overline_count for w in enumerate_decorations(r, cap=r))
+             for r in set().union(*by_blocks)}
+    rows = []
+    for tally in by_blocks:
+        row: Counter[int] = Counter()
+        for r, count in tally.items():
+            row.update({m: count * c for m, c in words[r].items()})
+        rows.append(dict(sorted(row.items())))
+    return rows

@@ -204,11 +204,9 @@ def _sequence(cfg: RunConfig, method: str) -> list[int]:
         return list(SERIES_METHODS[method](cfg.limit).coeffs)
     cap = cfg.cap(bruteforce.DEFAULT_WEIGHT_CAP)
     if cfg.limit > cap:
-        raise UsageError(
-            f"bruteforce refuses limit {cfg.limit} beyond cap {cap}; "
-            "raise --cap-enum if you mean it"
-        )
-    return [bruteforce.count_block_separated(n, cap=cap) for n in range(cfg.limit + 1)]
+        raise UsageError(f"bruteforce refuses limit {cfg.limit} beyond cap {cap}; "
+                         "raise --cap-enum if you mean it")
+    return bruteforce.count_block_separated(cfg.limit, cap=cap)
 
 
 SEQ_FORMATS = {
@@ -281,17 +279,16 @@ def _verify_checks(cfg: RunConfig) -> tuple[list[dict], list[int]]:
     def window(default: int | None) -> int:  # None: the whole limit
         return n if default is None else min(n, cfg.cap(default))
 
-    # Each rule yields the failures of its check at weight k <= hi. Rules read
-    # the routes computed below and look library functions up when called.
+    # Each rule yields the failures of its check at weight k <= hi. Rules read the
+    # routes and counting oracles computed below; the listing is one call per k.
     def cross_method(k: int, hi: int) -> Iterator[str]:
         at = {m: v[k] for m, v in results.items()}
         if len(set(at.values())) > 1:
             yield f"first difference at n={k}: {at}"
 
     def weighted_count(k: int, hi: int) -> Iterator[str]:
-        expected = bruteforce.count_block_separated(k, cap=hi)
-        if expected != values[k]:
-            yield f"n={k}: bruteforce={expected} series={values[k]}"
+        if counts[k] != values[k]:
+            yield f"n={k}: bruteforce={counts[k]} series={values[k]}"
 
     def explicit_listing(k: int, hi: int) -> Iterator[str]:
         listed = len(bruteforce.list_block_separated(k, cap=hi))
@@ -299,7 +296,7 @@ def _verify_checks(cfg: RunConfig) -> tuple[list[dict], list[int]]:
             yield f"n={k}: listing={listed} series={values[k]}"
 
     def bivariate(k: int, hi: int) -> Iterator[str]:
-        row, oracle_row = triangle[k], bruteforce.count_bivariate_oracle(k, cap=hi)
+        row, oracle_row = triangle[k], oracle_rows[k]
         # whole rows: an oracle entry past the triangle's width is a mismatch
         if row != tuple(oracle_row.get(m, 0) for m in range(max(oracle_row, default=0) + 1)):
             yield f"n={k}: triangle row {row} != oracle {oracle_row}"
@@ -331,7 +328,10 @@ def _verify_checks(cfg: RunConfig) -> tuple[list[dict], list[int]]:
     values = results["recurrence"]
     p = euler_inverse(n).coeffs
     pbar = overpartition_numbers(n)
-    triangle = symfun.bivariate_gf(window(ORACLE_WINDOW))
+    top = window(ORACLE_WINDOW)
+    triangle = symfun.bivariate_gf(top)
+    counts = bruteforce.count_block_separated(top, cap=top)
+    oracle_rows = bruteforce.count_bivariate_oracle(top, cap=top)
 
     checks = []
     for name, default, rule in table:
@@ -517,7 +517,10 @@ def main(argv: list[str] | None = None) -> int:
     _, handler, renderers, settings = COMMANDS[args.command]
     try:
         return handler(_resolve_config(args, renderers, settings), args)
-    except (UsageError, CapExceededError, MemoryError) as exc:  # MemoryError: too big a limit
+    except CapExceededError as exc:  # the library says "raise the cap"; here that is a flag
+        sys.stderr.write(f"error: {str(exc).partition(';')[0]}; raise --cap-enum if you mean it\n")
+        return EXIT_USAGE
+    except (UsageError, MemoryError) as exc:  # MemoryError: too big a limit
         sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return EXIT_USAGE
     except symfun.SlotOverflowError as exc:

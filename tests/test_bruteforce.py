@@ -6,6 +6,7 @@ from blocksep.bruteforce import (
     BlockPartition,
     DecoratedPartition,
     _block_forms,
+    _skeletons_by_blocks,
     count_bivariate_oracle,
     count_block_separated,
     list_block_separated,
@@ -93,23 +94,31 @@ class TestBlockFormsWalk:
         for n in range(41):
             assert sum(1 for _ in _block_forms(n)) == p[n], n
 
+    def test_skeleton_tallies_of_every_weight_from_one_walk(self):
+        # the ones bijection: the walk over n tallies every k <= n as its own walk would
+        walks = [Counter(map(len, _block_forms(k))) for k in range(41)]
+        for n in range(41):
+            assert _skeletons_by_blocks(n) == walks[:n + 1], n
+
     def test_tallies_match_per_object_reference(self):
         pbar = overpartition_numbers(25)
+        counts, rows = count_block_separated(25), count_bivariate_oracle(25)
+        assert len(counts) == len(rows) == 26
         for n in range(26):
             separated = decorated_objects(n, separated=True)
             unrestricted = decorated_objects(n, separated=False)
             assert set(separated.values()) == set(unrestricted.values()) == {1}
-            assert count_block_separated(n) == len(separated), n
+            assert counts[n] == len(separated), n
             assert pbar[n] == len(unrestricted), n
             by_overlines = Counter(sum(bits) for _, bits in separated)
-            assert count_bivariate_oracle(n) == by_overlines, n
+            assert rows[n] == by_overlines, n
 
 
 class TestCountBlockSeparated:
     def test_known_values(self):
-        assert count_block_separated(0) == 1
-        assert count_block_separated(3) == 7
-        assert count_block_separated(5) == 19
+        assert count_block_separated(0) == [1]
+        assert count_block_separated(3)[3] == 7
+        assert count_block_separated(5)[5] == 19
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
@@ -148,8 +157,9 @@ class TestListBlockSeparated:
         assert (((2, 2), (1, 1)), (1, 1)) not in keyed
 
     def test_matches_weighted_count(self):
+        counts = count_block_separated(25)
         for n in range(26):
-            assert len(list_block_separated(n, cap=25)) == count_block_separated(n)
+            assert len(list_block_separated(n, cap=25)) == counts[n]
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
@@ -158,20 +168,21 @@ class TestListBlockSeparated:
 
 class TestBivariateOracle:
     def test_n1(self):
-        assert count_bivariate_oracle(1) == {0: 1, 1: 1}
+        assert count_bivariate_oracle(1)[1] == {0: 1, 1: 1}
 
     def test_n5(self):
-        row = count_bivariate_oracle(5)
+        row = count_bivariate_oracle(5)[5]
         assert sum(row.values()) == 19
         assert row[0] == 7
 
     def test_matches_listing(self):
+        rows = count_bivariate_oracle(14)
         for n in range(15):
             by_listing: dict[int, int] = {}
             for d in list_block_separated(n):
                 m = d.decoration.overline_count
                 by_listing[m] = by_listing.get(m, 0) + 1
-            assert count_bivariate_oracle(n) == by_listing
+            assert rows[n] == by_listing
 
 
 class TestCountOverpartitions:
@@ -187,15 +198,16 @@ class TestOracleAgainstAnalyticRoutes:
         matrix = matrix_product_gf(n_top).coeffs
         recurrence = euler_factorized_gf(n_top).coeffs
         symmetric = fibonacci_weighted_gf(n_top).coeffs
+        counts = count_block_separated(n_top)
         for n in range(n_top + 1):
-            b = count_block_separated(n)
-            assert b == matrix[n] == recurrence[n] == symmetric[n], n
+            assert counts[n] == matrix[n] == recurrence[n] == symmetric[n], n
 
     def test_bivariate_rows_match(self):
         n_top = 25
         triangle = bivariate_gf(n_top)
+        rows = count_bivariate_oracle(n_top)
         for n in range(n_top + 1):
-            row = count_bivariate_oracle(n)
+            row = rows[n]
             assert tuple(row.get(m, 0) for m in range(len(triangle[n]))) == triangle[n], n
             assert sum(row.values()) == sum(triangle[n])
 

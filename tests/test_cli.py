@@ -16,8 +16,8 @@ import pytest
 
 from blocksep import bruteforce, cli, qseries, recurrence, symfun, transfer
 from blocksep.cli import main
-from blocksep.fibonacci import (enumerate_decorations, fib, word_to_independent_set,
-                                word_to_tiling)
+from blocksep.fibonacci import (CapExceededError, enumerate_decorations, fib,
+                                word_to_independent_set, word_to_tiling)
 from blocksep.qseries import TruncatedSeries, euler_inverse
 from blocksep.symfun import weighted_gf
 
@@ -186,8 +186,8 @@ VERIFY_CHECK_NAMES = ("cross_method_equality", "oracle_weighted_count",
 
 
 def at_9(update):
-    """An oracle row edit applied at n = 9 only; row (30, 67, 10) there."""
-    return lambda row, n: {**row, **update} if n == 9 else row
+    """An edit of the oracle's row at n = 9 only; row (30, 67, 10) there."""
+    return lambda rows, n: rows[:9] + [{**rows[9], **update}] + rows[10:]
 
 
 def triangle_row_9_raised(monkeypatch):
@@ -206,7 +206,7 @@ def overpartitions_below_b_at_10(monkeypatch):
 # (apply the fault, failing check -> its detail); every other check passes.
 VERIFY_FAULTS = [
     (lambda mp: edit_result(mp, bruteforce, "count_block_separated",
-                            lambda c, n: c + (n == 5)),
+                            lambda counts, n: [c + (k == 5) for k, c in enumerate(counts)]),
      {"oracle_weighted_count": "n=5: bruteforce=20 series=19"}),
     (lambda mp: edit_result(mp, bruteforce, "list_block_separated",
                             lambda items, n: items[:-1] if n == 6 else items),
@@ -309,6 +309,28 @@ class TestVerify:
         statuses = dict(re.fullmatch(r"check (\S+) range \S+: (.*)", s).groups() for s in lines)
         assert statuses == {name: f"fail ({failed[name]})" if name in failed else "pass"
                             for name in VERIFY_CHECK_NAMES}
+
+    @pytest.mark.parametrize("skipped, weighted, bivariate", [
+        (((25, 1),), "n=25: bruteforce=15084 series=15086",
+         "n=25: triangle row (1958, 7338, 5387, 403) != oracle {0: 1957, 1: 7337, 2: 5387, 3: 403}"),
+        # the partition of 25 into ones stands for the empty partition of 0 too
+        (((1, 25),), "n=0: bruteforce=0 series=1", "n=0: triangle row (1,) != oracle {}"),
+    ], ids=["no_ones", "all_ones"])
+    def test_a_partition_missed_by_the_walk_fails_the_counting_oracles(
+            self, capsys, monkeypatch, skipped, weighted, bivariate):
+        # each counting oracle derives every weight from one walk over the partitions of 25
+        walk = bruteforce._block_forms
+        monkeypatch.setattr(bruteforce, "_block_forms",
+                            lambda n: (b for b in walk(n) if (n, b) != (25, skipped)))
+        code, out, err = run(capsys, "verify", "--limit", "30")
+        assert code == 1 and err == ""
+        *lines, result = out.splitlines()
+        assert result == "result: fail"
+        statuses = dict(re.fullmatch(r"check (\S+) range \S+: (.*)", s).groups() for s in lines)
+        assert statuses == {"cross_method_equality": "pass",
+                            "oracle_weighted_count": f"fail ({weighted})",
+                            "oracle_explicit_listing": "pass",
+                            "bivariate_oracle": f"fail ({bivariate})", "sandwich": "pass"}
 
     def test_inject_fault_json(self, capsys):
         code, out, _ = run(
@@ -449,6 +471,21 @@ class TestList:
         assert code == 2 and "cap" in err
 
 
+@pytest.mark.parametrize("argv, library_call, refusal", [
+    (["list", "--limit", "21"], lambda: bruteforce.list_block_separated(21),
+     "explicit listing for n=21 exceeds cap 20"),
+    (["decorations", "26"], lambda: enumerate_decorations(26),
+     "decoration enumeration for r=26 exceeds cap 25"),
+], ids=["list", "decorations"])
+def test_cap_error_names_the_flag(capsys, argv, library_call, refusal):
+    # CLI users raise a cap with --cap-enum; API callers keep the library's advice
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {refusal}; raise --cap-enum if you mean it\n"
+    with pytest.raises(CapExceededError, match=f"^{refusal}; raise the cap explicitly"):
+        library_call()
+
+
 def printed_rows(fmt, out):
     """The rows of a list or decorations output, and the count it prints (csv prints none)."""
     if fmt == "json":
@@ -480,7 +517,7 @@ class TestRendering:
     def test_list_rows_are_read_once(self, capsys, n, fmt):
         code, out, _ = run(capsys, "list", "--limit", str(n), "--format", fmt)
         rows, count = printed_rows(fmt, out)
-        expected = bruteforce.count_block_separated(n)
+        expected = bruteforce.count_block_separated(n)[n]
         assert code == 0 and len(rows) == expected and count in (None, expected)
 
     @pytest.mark.parametrize("doc", [

@@ -8,13 +8,14 @@ are pinned here too.
 
 import importlib
 import importlib.util
+import pickle
 import sys
 from pathlib import Path
 
 import pytest
 
 import blocksep
-from blocksep.bruteforce import BlockPartition
+from blocksep.bruteforce import BlockPartition, DecoratedPartition
 from blocksep.fibonacci import DecorationWord
 from blocksep.qseries import TruncatedSeries
 from blocksep.recurrence import StatePair, euler_factorized_gf, normalized_recurrence
@@ -79,11 +80,40 @@ def test_bivariate_gf():
     (DecorationWord, "bits", [0, 1, 0], (0, 1, 0)),
     (BlockPartition, "blocks", [(2, 1), (1, 1)], ((2, 1), (1, 1))),
     (BlockPartition, "blocks", [[3, 2]], ((3, 2),)),
-], ids=["DecorationWord", "BlockPartition", "BlockPartition_list_blocks"])
+    (BlockPartition, "blocks", ([3, 2],), ((3, 2),)),
+], ids=["DecorationWord", "BlockPartition", "BlockPartition_list_blocks",
+        "BlockPartition_tuple_of_lists"])
 def test_list_input_is_stored_as_tuples(make, field, as_list, as_tuple):
     a, b = make(as_list), make(as_tuple)
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert getattr(a, field) == as_tuple
+
+
+@pytest.mark.parametrize("blocks", [((3.5, 2),), ((3, 2.0),), ((True, 1),), ((2, True),),
+                                    (("3", 1),)])
+def test_block_partition_rejects_parts_that_are_not_int(blocks):
+    # as DecorationWord and TruncatedSeries do; bool is not an int here
+    with pytest.raises(ValueError):
+        BlockPartition(blocks)
+
+
+def test_decorated_partition_is_an_immutable_value():
+    skeleton = BlockPartition(((2, 2), (1, 1)))
+    a = DecoratedPartition(skeleton, DecorationWord((0, 1)))
+    b = DecoratedPartition(BlockPartition([(2, 2), (1, 1)]), DecorationWord([0, 1]))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != DecoratedPartition(skeleton, DecorationWord((1, 0)))
+    assert a != (skeleton, a.decoration)
+    assert repr(a) == ("DecoratedPartition(skeleton=BlockPartition(blocks=((2, 2), (1, 1))), "
+                       "decoration=DecorationWord(bits=(0, 1)))")
+    h = hash(a)
+    for attr in ("skeleton", "decoration", "extra"):
+        with pytest.raises((AttributeError, TypeError)):
+            setattr(a, attr, None)
+    with pytest.raises(AttributeError):
+        del a.skeleton
+    assert a.skeleton is skeleton and hash(a) == h
+    assert pickle.loads(pickle.dumps(a)) == a  # rebuilt through the checking constructor
 
 
 def test_star_import_gives_every_exported_name():
