@@ -13,41 +13,10 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from itertools import repeat
 
-from .fibonacci import CapExceededError, DecorationWord, decoration_count, enumerate_decorations
+from .fibonacci import DecorationWord, _check_cap, _Value, decoration_count, enumerate_decorations
 
 DEFAULT_WEIGHT_CAP = 60
 DEFAULT_LISTING_CAP = 20
-
-
-class _Value:
-    """An immutable value: compared, hashed, shown and pickled by its __slots__, which
-    __init__ sets once through the slots' own setters, _setters, past __setattr__."""
-
-    __slots__ = ()
-
-    def __init_subclass__(cls) -> None:
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"cannot change {name!r}: {type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._fields()
 
 
 class BlockPartition(_Value):
@@ -90,12 +59,15 @@ class DecoratedPartition(_Value):
         set_skeleton(self, skeleton)
         set_decoration(self, decoration)
 
-
-def _check_cap(n: int, cap: int, what: str) -> None:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > cap:
-        raise CapExceededError(f"{what} for n={n} exceeds cap {cap}; raise the cap explicitly")
+    def __str__(self) -> str:
+        """Plain rendering with ~ marking the overlined copy: 2~+2+1."""
+        if not self.skeleton.blocks:
+            return "(empty)"
+        pieces = []
+        for (part, mult), bit in zip(self.skeleton.blocks, self.decoration.bits):
+            pieces.append(f"{part}~" if bit else str(part))
+            pieces.extend([str(part)] * (mult - 1))
+        return "+".join(pieces)
 
 
 def _block_forms(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -144,7 +116,7 @@ def _skeletons_by_blocks(n: int) -> list[Counter[int]]:
 
 def count_block_separated(n: int, *, cap: int = DEFAULT_WEIGHT_CAP) -> list[int]:
     """b(0..n) by brute force: each skeleton with r blocks contributes F_{r+2} decorations."""
-    _check_cap(n, cap, "weighted brute-force count")
+    _check_cap("weighted brute-force count", "n", n, cap)
     return [sum(decoration_count(r) * count for r, count in tally.items())
             for tally in _skeletons_by_blocks(n)]
 
@@ -156,7 +128,7 @@ def list_block_separated(n: int, *, cap: int = DEFAULT_LISTING_CAP) -> list[Deco
     skeleton. No Fibonacci shortcut: the decorations are enumerated and
     the adjacency rule is what the word type enforces.
     """
-    _check_cap(n, cap, "explicit listing")
+    _check_cap("explicit listing", "n", n, cap)
     words_by_r: dict[int, list[DecorationWord]] = {}
     out = []
     for blocks in _block_forms(n):
@@ -174,7 +146,7 @@ def count_bivariate_oracle(n: int, *, cap: int = DEFAULT_WEIGHT_CAP) -> list[dic
     once per call, and each tally is weighted by the number of skeletons of k
     with r blocks, so each (skeleton, word) pair is counted once. Keys ascend.
     """
-    _check_cap(n, cap, "bivariate brute-force count")
+    _check_cap("bivariate brute-force count", "n", n, cap)
     by_blocks = _skeletons_by_blocks(n)
     words = {r: Counter(w.overline_count for w in enumerate_decorations(r, cap=r))
              for r in set().union(*by_blocks)}

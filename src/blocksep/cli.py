@@ -18,7 +18,7 @@ import itertools
 import json
 import os
 import sys
-from collections.abc import Callable, Collection, Iterable, Iterator
+from collections.abc import Callable, Collection, Iterable, Sequence
 from dataclasses import dataclass
 from typing import TypeVar
 
@@ -199,14 +199,19 @@ def _lines_text(lines: Iterable[str]) -> str:
 
 
 def _sequence(cfg: RunConfig, method: str) -> list[int]:
-    """b(0..limit) by one route; bruteforce refuses a limit beyond its cap."""
+    """b(0..limit) by one route."""
     if method != "bruteforce":
         return list(SERIES_METHODS[method](cfg.limit).coeffs)
-    cap = cfg.cap(bruteforce.DEFAULT_WEIGHT_CAP)
-    if cfg.limit > cap:
-        raise UsageError(f"bruteforce refuses limit {cfg.limit} beyond cap {cap}; "
-                         "raise --cap-enum if you mean it")
-    return bruteforce.count_block_separated(cfg.limit, cap=cap)
+    return bruteforce.count_block_separated(cfg.limit, cap=cfg.cap(bruteforce.DEFAULT_WEIGHT_CAP))
+
+
+def _first_difference(named: dict[str, Sequence], top: int) -> int | None:
+    """The first n in 0..top at which the named sequences are not all equal, or None."""
+    return next((n for n in range(top + 1) if len({s[n] for s in named.values()}) > 1), None)
+
+
+def _at(named: dict[str, Sequence], n: int) -> dict:
+    return {name: s[n] for name, s in named.items()}
 
 
 SEQ_FORMATS = {
@@ -229,11 +234,9 @@ def _checked_sequence(cfg: RunConfig) -> tuple[list[int], list[dict]] | None:
         sys.stderr.write(f"note: --method all leaves out bruteforce beyond its window "
                          f"0..{cfg.cap(ORACLE_WINDOW)}; raise --cap-enum to include it\n")
     results = {m: _sequence(cfg, m) for m in methods}
-    for n in range(cfg.limit + 1):
-        at = {m: values[n] for m, values in results.items()}
-        if len(set(at.values())) > 1:
-            sys.stderr.write(f"method disagreement at n={n}: {at}\n")
-            return None
+    if (n := _first_difference(results, cfg.limit)) is not None:
+        sys.stderr.write(f"method disagreement at n={n}: {_at(results, n)}\n")
+        return None
     return results["matrix"], [{"name": "cross_method_equality", "range": f"0..{cfg.limit}",
                                 "methods": sorted(results), "status": "pass"}]
 
@@ -279,53 +282,39 @@ def _verify_checks(cfg: RunConfig) -> tuple[list[dict], list[int]]:
     def window(default: int | None) -> int:  # None: the whole limit
         return n if default is None else min(n, cfg.cap(default))
 
-    # Each rule yields the failures of its check at weight k <= hi. Rules read the
+    # Each rule returns the failure of its check at weight k, or None. Rules read the
     # routes and counting oracles computed below; the listing is one call per k.
-    def cross_method(k: int, hi: int) -> Iterator[str]:
-        at = {m: v[k] for m, v in results.items()}
-        if len(set(at.values())) > 1:
-            yield f"first difference at n={k}: {at}"
+    def cross_method(k: int) -> str | None:
+        return f"first difference at n={k}: {_at(results, k)}" if k == first else None
 
-    def weighted_count(k: int, hi: int) -> Iterator[str]:
-        if counts[k] != values[k]:
-            yield f"n={k}: bruteforce={counts[k]} series={values[k]}"
+    def weighted_count(k: int) -> str | None:
+        bad = counts[k] != values[k]
+        return f"n={k}: bruteforce={counts[k]} series={values[k]}" if bad else None
 
-    def explicit_listing(k: int, hi: int) -> Iterator[str]:
-        listed = len(bruteforce.list_block_separated(k, cap=hi))
-        if listed != values[k]:
-            yield f"n={k}: listing={listed} series={values[k]}"
+    def explicit_listing(k: int) -> str | None:
+        listed = len(bruteforce.list_block_separated(k, cap=k))
+        return f"n={k}: listing={listed} series={values[k]}" if listed != values[k] else None
 
-    def bivariate(k: int, hi: int) -> Iterator[str]:
+    def bivariate(k: int) -> str | None:
         row, oracle_row = triangle[k], oracle_rows[k]
         # whole rows: an oracle entry past the triangle's width is a mismatch
         if row != tuple(oracle_row.get(m, 0) for m in range(max(oracle_row, default=0) + 1)):
-            yield f"n={k}: triangle row {row} != oracle {oracle_row}"
+            return f"n={k}: triangle row {row} != oracle {oracle_row}"
         if sum(row) != values[k]:
-            yield f"n={k}: row sum {sum(row)} != b({k})={values[k]}"
-        if row[0] != p[k]:
-            yield f"n={k}: column 0 entry {row[0]} != p({k})={p[k]}"
+            return f"n={k}: row sum {sum(row)} != b({k})={values[k]}"
+        return f"n={k}: column 0 entry {row[0]} != p({k})={p[k]}" if row[0] != p[k] else None
 
-    def sandwich(k: int, hi: int) -> Iterator[str]:
+    def sandwich(k: int) -> str | None:
         if not p[k] <= values[k] <= pbar[k]:
-            yield f"n={k}: sandwich violated"
-        if k >= 1 and not p[k] < values[k]:
-            yield f"n={k}: lower bound not strict"
-
-    table = [("cross_method_equality", None, cross_method),
-             ("oracle_weighted_count", ORACLE_WINDOW, weighted_count),
-             ("oracle_explicit_listing", LISTING_WINDOW, explicit_listing),
-             ("bivariate_oracle", ORACLE_WINDOW, bivariate),
-             ("sandwich", None, sandwich)]
-    for name, default, _ in table:  # a narrowed oracle still passes; say so
-        if default is not None and window(default) < min(n, default):
-            sys.stderr.write(f"note: --cap-enum {cfg.cap_enum} narrows {name} "
-                             f"to 0..{window(default)} from 0..{min(n, default)}\n")
+            return f"n={k}: sandwich violated"
+        return f"n={k}: lower bound not strict" if k >= 1 and not p[k] < values[k] else None
 
     results = {m: _sequence(cfg, m) for m in SERIES_METHODS}
     if cfg.inject_fault:
         # self-test of the detector: flip one coefficient and watch it fail
         results["matrix"][min(1, n)] += 1
     values = results["recurrence"]
+    first = _first_difference(results, n)
     p = euler_inverse(n).coeffs
     pbar = overpartition_numbers(n)
     top = window(ORACLE_WINDOW)
@@ -333,10 +322,18 @@ def _verify_checks(cfg: RunConfig) -> tuple[list[dict], list[int]]:
     counts = bruteforce.count_block_separated(top, cap=top)
     oracle_rows = bruteforce.count_bivariate_oracle(top, cap=top)
 
+    table = [("cross_method_equality", None, cross_method),
+             ("oracle_weighted_count", ORACLE_WINDOW, weighted_count),
+             ("oracle_explicit_listing", LISTING_WINDOW, explicit_listing),
+             ("bivariate_oracle", ORACLE_WINDOW, bivariate),
+             ("sandwich", None, sandwich)]
     checks = []
     for name, default, rule in table:
         hi = window(default)
-        detail = next((d for k in range(hi + 1) for d in rule(k, hi)), None)
+        if default is not None and hi < min(n, default):  # a narrowed oracle still passes; say so
+            sys.stderr.write(f"note: --cap-enum {cfg.cap_enum} narrows {name} "
+                             f"to 0..{hi} from 0..{min(n, default)}\n")
+        detail = next(filter(None, map(rule, range(hi + 1))), None)
         checks.append({"name": name, "range": f"0..{hi}", "status": "fail" if detail else "pass",
                        **({"detail": detail} if detail else {})})
     return checks, values
@@ -421,24 +418,13 @@ BIVARIATE_FORMATS = {
 
 def cmd_bivariate(cfg: RunConfig, _args: argparse.Namespace) -> int:
     """The recurrence route's rows, after rows 0..ORACLE_WINDOW match the e_r triangle's."""
-    rows = recurrence.euler_factorized_triangle(cfg.limit)
-    for n, row in enumerate(symfun.bivariate_gf(min(cfg.limit, ORACLE_WINDOW))):
-        if rows[n] != row:
-            sys.stderr.write(f"triangle disagreement at n={n}: "
-                             f"recurrence {rows[n]} != symmetric {row}\n")
-            return EXIT_CHECK_FAILED
+    top = min(cfg.limit, ORACLE_WINDOW)
+    rows, e_rows = recurrence.euler_factorized_triangle(cfg.limit), symfun.bivariate_gf(top)
+    if (n := _first_difference({"recurrence": rows, "symmetric": e_rows}, top)) is not None:
+        sys.stderr.write(f"triangle disagreement at n={n}: "
+                         f"recurrence {rows[n]} != symmetric {e_rows[n]}\n")
+        return EXIT_CHECK_FAILED
     return _emit(cfg, BIVARIATE_FORMATS, rows)
-
-
-def render_decorated(d: DecoratedPartition) -> str:
-    """Plain rendering with ~ marking the overlined copy: 2~+2+1."""
-    if not d.skeleton.blocks:
-        return "(empty)"
-    pieces = []
-    for (part, mult), bit in zip(d.skeleton.blocks, d.decoration.bits):
-        pieces.append(f"{part}~" if bit else str(part))
-        pieces.extend([str(part)] * (mult - 1))
-    return "+".join(pieces)
 
 
 def _list_json(cfg: RunConfig, items: list[DecoratedPartition]) -> str:
@@ -448,7 +434,7 @@ def _list_json(cfg: RunConfig, items: list[DecoratedPartition]) -> str:
                 {"part": part, "multiplicity": mult, "overlined": bool(bit)}
                 for (part, mult), bit in zip(d.skeleton.blocks, d.decoration.bits)
             ],
-            "rendered": render_decorated(d),
+            "rendered": str(d),
         }
         for d in items
     ]
@@ -457,11 +443,11 @@ def _list_json(cfg: RunConfig, items: list[DecoratedPartition]) -> str:
 
 LIST_FORMATS = {
     "plain": lambda cfg, items: _lines_text(itertools.chain(
-        map(render_decorated, items), [f"count {len(items)}"]
+        map(str, items), [f"count {len(items)}"]
     )),
     "csv": lambda cfg, items: _csv_text(itertools.chain(
         [["partition", "decoration"]],
-        ([render_decorated(d), str(d.decoration)] for d in items)
+        ([str(d), str(d.decoration)] for d in items)
     )),
     "json": _list_json,
 }

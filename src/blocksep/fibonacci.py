@@ -9,7 +9,6 @@ of the path graph and with square/domino tilings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 #: Fibonacci convention used throughout: F_1 = F_2 = 1 (and F_0 = 0).
@@ -22,25 +21,64 @@ class CapExceededError(ValueError):
     """An enumeration was asked to exceed its configured resource cap."""
 
 
-@dataclass(frozen=True, slots=True)
-class DecorationWord:
+def _check_cap(what: str, name: str, size: int, cap: int) -> None:
+    """Refuse a negative size, and a size beyond cap with a CapExceededError."""
+    if size < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    if size > cap:
+        raise CapExceededError(f"{what} for {name}={size} exceeds cap {cap}; "
+                               "raise the cap explicitly")
+
+
+class _Value:
+    """An immutable value: compared, hashed, shown and pickled by its __slots__, which
+    __init__ sets once through the slots' own setters, _setters, past __setattr__."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot change {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class DecorationWord(_Value):
     """Overlining pattern: bit i is 1 iff block i is overlined.
 
     Valid words never have two adjacent ones; that is exactly the
     block-separation constraint.
     """
 
-    bits: tuple[int, ...]
+    __slots__ = ("bits",)
 
-    def __post_init__(self):
-        if type(self.bits) is not tuple:  # a list would make the word unhashable
-            object.__setattr__(self, "bits", tuple(self.bits))
-        for b in self.bits:
+    def __init__(self, bits: tuple[int, ...]) -> None:
+        bits = tuple(bits)  # a list would make the word unhashable
+        for b in bits:
             if type(b) is not int or b not in (0, 1):
                 raise ValueError(f"bits must be 0 or 1, got {b!r}")
-        for i in range(len(self.bits) - 1):
-            if self.bits[i] == 1 and self.bits[i + 1] == 1:
+        for i in range(len(bits) - 1):
+            if bits[i] == 1 and bits[i + 1] == 1:
                 raise ValueError(f"adjacent overlines at positions {i + 1},{i + 2}")
+        self._setters[0](self, bits)
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -82,13 +120,7 @@ def enumerate_decorations(r: int, *, cap: int = DEFAULT_ENUMERATION_CAP) -> list
 
     Guarded by a cap (default 25) because the list grows like phi^r.
     """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    if r > cap:
-        raise CapExceededError(
-            f"decoration enumeration for r={r} exceeds cap {cap}; "
-            "raise the cap explicitly if you mean it"
-        )
+    _check_cap("decoration enumeration", "r", r, cap)
     # grow every legal prefix by one letter at a time, 0 before 1, so the
     # prefixes stay in lexicographic order
     prefixes: list[tuple[int, ...]] = [()]

@@ -35,6 +35,11 @@ class TestBlockPartition:
         assert str(BlockPartition(((2, 2), (1, 1)))) == "2+2+1"
         assert str(BlockPartition(())) == "(empty)"
 
+    def test_decorated_str_is_the_list_rendering(self):
+        skeleton = BlockPartition(((2, 2), (1, 1)))
+        assert str(DecoratedPartition(skeleton, DecorationWord((1, 0)))) == "2~+2+1"
+        assert str(DecoratedPartition(BlockPartition(()), DecorationWord(()))) == "(empty)"
+
     def test_weight_and_blocks(self):
         p = BlockPartition(((3, 1), (1, 2)))
         assert sum(part * mult for part, mult in p.blocks) == 5 and p.num_blocks == 2

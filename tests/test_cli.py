@@ -476,7 +476,13 @@ class TestList:
      "explicit listing for n=21 exceeds cap 20"),
     (["decorations", "26"], lambda: enumerate_decorations(26),
      "decoration enumeration for r=26 exceeds cap 25"),
-], ids=["list", "decorations"])
+    (["seq", "--method", "bruteforce", "--limit", "61"],
+     lambda: bruteforce.count_block_separated(61),
+     "weighted brute-force count for n=61 exceeds cap 60"),
+    (["table", "--method", "bruteforce", "--limit", "61"],
+     lambda: bruteforce.count_block_separated(61),
+     "weighted brute-force count for n=61 exceeds cap 60"),
+], ids=["list", "decorations", "seq", "table"])
 def test_cap_error_names_the_flag(capsys, argv, library_call, refusal):
     # CLI users raise a cap with --cap-enum; API callers keep the library's advice
     code, out, err = run(capsys, *argv)

@@ -6,6 +6,7 @@ working lists. The export list and the names the benchmark harness wraps
 are pinned here too.
 """
 
+import copy
 import importlib
 import importlib.util
 import pickle
@@ -114,6 +115,27 @@ def test_decorated_partition_is_an_immutable_value():
         del a.skeleton
     assert a.skeleton is skeleton and hash(a) == h
     assert pickle.loads(pickle.dumps(a)) == a  # rebuilt through the checking constructor
+
+
+@pytest.mark.parametrize("make, field, value, other, shown", [
+    (DecorationWord, "bits", (0, 1), (1, 0), "DecorationWord(bits=(0, 1))"),
+    (BlockPartition, "blocks", ((2, 2), (1, 1)), ((3, 1),),
+     "BlockPartition(blocks=((2, 2), (1, 1)))"),
+], ids=["DecorationWord", "BlockPartition"])
+def test_word_and_partition_are_immutable_values(make, field, value, other, shown):
+    a, b = make(value), make(list(value))
+    assert a == b and hash(a) == hash(b) == hash((value,)) and len({a, b}) == 1
+    assert a != make(other) and a != value
+    assert repr(a) == shown
+    with pytest.raises(AttributeError):
+        setattr(a, field, None)
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    with pytest.raises((AttributeError, TypeError)):  # TypeError: a frozen slots dataclass
+        a.extra = None
+    assert getattr(a, field) == value and hash(a) == hash((value,))
+    for copied in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert copied == a and type(copied) is make
 
 
 def test_star_import_gives_every_exported_name():
