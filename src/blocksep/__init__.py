@@ -29,7 +29,8 @@ from .fibonacci import (
     word_to_independent_set,
     word_to_tiling,
 )
-from .qseries import TruncatedSeries, euler_inverse, overpartition_numbers, partition_numbers
+from .qseries import (TruncatedSeries, euler_inverse, max_block_count, overpartition_numbers,
+                      partition_numbers)
 from .recurrence import (
     StatePair,
     euler_factorized_gf,
@@ -40,7 +41,6 @@ from .symfun import (
     bivariate_gf,
     elementary_symmetric_series,
     fibonacci_weighted_gf,
-    max_block_count,
     weighted_gf,
 )
 from .transfer import matrix_product_gf

@@ -38,10 +38,6 @@ class BlockPartition(_Value):
             last, exact = part, exact and type(block) is tuple
         self._setters[0](self, blocks if exact else tuple(map(tuple, blocks)))  # lists: unhashable
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
     def __str__(self) -> str:
         return "+".join("+".join([str(part)] * mult) for part, mult in self.blocks) or "(empty)"
 

@@ -17,6 +17,7 @@ import io
 import itertools
 import json
 import os
+import shutil
 import sys
 from collections.abc import Callable, Collection, Iterable, Sequence
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from . import bruteforce, fibonacci, recurrence, symfun, transfer
 from .bruteforce import DecoratedPartition
 from .fibonacci import (CapExceededError, enumerate_decorations, word_to_independent_set,
                         word_to_tiling)
-from .qseries import euler_inverse, overpartition_numbers
+from .qseries import SlotOverflowError, euler_inverse, overpartition_numbers
 
 ENV_PREFIX = "BLOCKSEP_"
 EXIT_OK = 0
@@ -128,7 +129,7 @@ def _emit(cfg: RunConfig, renderers: dict, *data) -> int:
 
     A target that is not a regular file (a FIFO, /dev/stdout) is written as
     given, since a rename would replace it; a regular file is replaced at its
-    symlink-resolved path, so a link stays a link.
+    symlink-resolved path, so a link stays a link, and keeps its mode bits.
     """
     text = renderers[cfg.format](cfg, *data)
     try:
@@ -145,6 +146,8 @@ def _emit(cfg: RunConfig, renderers: dict, *data) -> int:
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(text)
+            with contextlib.suppress(FileNotFoundError):  # a new file keeps the umask's mode
+                shutil.copymode(target, tmp)
             os.replace(tmp, target)
         finally:
             with contextlib.suppress(FileNotFoundError):
@@ -509,7 +512,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, MemoryError) as exc:  # MemoryError: too big a limit
         sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return EXIT_USAGE
-    except symfun.SlotOverflowError as exc:
+    except SlotOverflowError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CHECK_FAILED
 

@@ -191,14 +191,15 @@ def max_block_count(order: int) -> int:
     return (isqrt(8 * order + 1) - 1) // 2
 
 
-def _decode_rows(packed: list[int], v: int, order: int) -> tuple[tuple[int, ...], ...]:
-    """Rows of b(n, m) from packed[n] = sum_m b(n, m) * 2^(m*v), n = 0..order.
+def _decode_rows(packed: list[int], v: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of b(n, m) from packed[n] = sum_m b(n, m) * 2^(m*v), n = 0..len(packed) - 1.
 
     Row n has at most (r_n + 1) // 2 + 1 slots, r_n = max_block_count(n),
     and b(n, 0) = p(n) >= 1, so packed[n] > 0. Raises SlotOverflowError if
     packed[n] is not positive, has more slots or sets a slot's spare bit.
     The top slot is nonzero, so the rows come out trimmed.
     """
+    order = len(packed) - 1
     mask = (1 << v) - 1
     spares = sum(1 << (m * v + v - 1) for m in range((max_block_count(order) + 1) // 2 + 1))
     rows = []

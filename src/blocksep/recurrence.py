@@ -16,8 +16,10 @@ sum_k G^k q^(T_k) / (q)_k, and only k with T_k <= order contribute. Since
 G^2 = I - G, each power is G^k = a_k I + b_k G with
 (a_{k+1}, b_{k+1}) = (b_k, a_k - b_k); a_k + b_k = F(2-k). The f1 part
 has negative coefficients, which is why the series type is signed.
-`normalized_recurrence` sums the pair forward; the route needs only the
-total, sum_k F(2-k) q^(T_k) / (q)_k, and sums it by Horner's rule.
+One kernel, `_euler_sum`, sums sum_k c_k q^(T_k) / (q)_k by Horner's rule
+for given weights c_k, and has three callers: `normalized_recurrence`
+(c_k = a_k for f0, b_k for f1), the route (the total, c_k = F(2-k)) and
+the triangle below (c_k(t)).
 
 A marker t on the overlined transition turns G into G_t = [[0, t], [1, -1]]
 with G_t^2 = t I - G_t, so G_t^k = a_k I + b_k G_t with
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, repeat
-from operator import add, mul
 
 from .qseries import (TruncatedSeries, _decode_rows, _pentagonal, _sparse_divide, euler_inverse,
                       max_block_count, overpartition_numbers)
@@ -59,27 +60,11 @@ class StatePair:
 def normalized_recurrence(order: int) -> StatePair:
     """The normalized pair (1, 0) * prod_{n=1..order} (I + q^n G), by Euler's identity.
 
-    One loop over plain lists for k = 1, 2, .. while T_k <= order, so
-    O(order^1.5) coefficient operations: h <- h * q^k / (1 - q^k) (one
-    shift, one strided prefix sum), (a, b) <- (b, a - b), then f0 += a * h
-    and f1 += b * h from q^(T_k) up; h = q^(T_k) / (q)_k is zero below.
+    (1, 0) * G^k = (a_k, b_k), so f0 sums the weights a_k and f1 the b_k.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    n = order + 1
-    h, f0, f1 = [1] + [0] * order, [1] + [0] * order, [0] * n
-    a, b = 1, 0
-    for k in range(1, max_block_count(order) + 1):
-        t = k * (k + 1) // 2
-        h[k:] = h[:n - k]
-        h[:k] = repeat(0, k)
-        for r in range(t, min(t + k, n)):
-            h[r::k] = accumulate(h[r::k])
-        a, b = b, a - b
-        for f, c in ((f0, a), (f1, b)):
-            if c:
-                f[t:] = map(add, f[t:], map(mul, h[t:], repeat(c)))
-    return StatePair(TruncatedSeries(f0), TruncatedSeries(f1))
+    a, b = zip(*_g_powers(order))
+    return StatePair(TruncatedSeries(_euler_sum(order, a)),
+                     TruncatedSeries(_euler_sum(order, b)))
 
 
 def euler_factorized_gf(order: int) -> TruncatedSeries:
@@ -97,32 +82,38 @@ def euler_factorized_triangle(order: int) -> tuple[tuple[int, ...], ...]:
     that bound's bit length plus a spare bit, as in `symfun.bivariate_gf`,
     and the one decode both triangles share, `qseries._decode_rows`, checks them.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    v = overpartition_numbers(order)[-1].bit_length() + 1
-    return _decode_rows(_sparse_divide(_normalized_total(order, 1 << v), _pentagonal()), v, order)
+    v = overpartition_numbers(order)[-1].bit_length() + 1  # a negative order raises here
+    return _decode_rows(_sparse_divide(_normalized_total(order, 1 << v), _pentagonal()), v)
 
 
 def _normalized_total(order: int, t: int = 1) -> list[int]:
-    """f0 + f1 of `normalized_recurrence`, sum_k c_k q^(T_k) / (q)_k, by Horner.
+    """f0 + f1 of `normalized_recurrence` with marker t: c_k = a_k + t b_k, F(2-k) at t = 1."""
+    return _euler_sum(order, tuple(a + t * b for a, b in _g_powers(order, t)))
 
-    c_k = a_k + t b_k with (a, b) <- (t b, a - b) from (1, 0), the total
-    weights of G_t^k; at t = 1, c_k = F(2-k).
-    q^(T_k) / (q)_k = y_1 .. y_k with y_k = q^k / (1 - q^k), so the sum over
-    k <= K, T_K <= order, folds from the inside out: acc <- c_{k-1} + y_k * acc
-    for k = K down to 1, from acc = c_K. The factors outside step k shift by
-    T_{k-1}, so acc keeps order - T_{k-1} + 1 coefficients after it, exactly
-    k more than before: the shift by k prepends k zeros and drops nothing.
-    Each step is that shift, one strided prefix sum per residue and
-    acc[0] = c_{k-1}.
+
+def _g_powers(order: int, t: int = 1) -> list[tuple[int, int]]:
+    """(a_k, b_k) of G_t^k = a_k I + b_k G_t for k = 0..K, K = max_block_count(order).
+
+    From (1, 0), (a, b) <- (t b, a - b); a negative order raises.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    top = max_block_count(order)
-    c, a, b = [], 1, 0
-    for _ in range(top + 1):
-        c.append(a + t * b)
+    pairs, a, b = [], 1, 0
+    for _ in range(max_block_count(order) + 1):
+        pairs.append((a, b))
         a, b = t * b, a - b
+    return pairs
+
+
+def _euler_sum(order: int, c: tuple[int, ...]) -> list[int]:
+    """sum_k c_k q^(T_k) / (q)_k for k = 0..K, K = len(c) - 1, by Horner.
+
+    q^(T_k) / (q)_k = y_1 .. y_k with y_k = q^k / (1 - q^k), so the sum
+    folds from the inside out: acc <- c_{k-1} + y_k * acc for k = K down to
+    1, from acc = c_K. The factors outside step k shift by T_{k-1}, so acc
+    keeps order - T_{k-1} + 1 coefficients after it, exactly k more than
+    before: the shift by k prepends k zeros and drops nothing. Each step is
+    that shift, one strided prefix sum per residue and acc[0] = c_{k-1}.
+    """
+    top = len(c) - 1
     acc = [c[top]] + [0] * (order - top * (top + 1) // 2)
     for k in range(top, 0, -1):
         acc[:0] = repeat(0, k)

@@ -16,8 +16,8 @@ from .qseries import (SlotOverflowError, TruncatedSeries, _decode_rows, max_bloc
                       overpartition_numbers, partition_numbers)
 
 
-def elementary_symmetric_series(r_max: int, order: int) -> list[TruncatedSeries]:
-    """e_0 .. e_{r_max} of the block series S_1..S_order, truncated.
+def elementary_symmetric_series(order: int) -> list[TruncatedSeries]:
+    """e_0 .. e_top of the block series S_1..S_order, truncated; top = max_block_count(order).
 
     All ranks are packed into one int per power of q: ys[k] holds e_r[k] in
     the w-bit slot r. Below q^(order+1), S_j = q^j + q^(2j) + q^(3j) for
@@ -35,10 +35,8 @@ def elementary_symmetric_series(r_max: int, order: int) -> list[TruncatedSeries]
     no slot carries into the next. Decode checks each packed int once
     against the spare bit of every rank and the bits above the top rank,
     raising SlotOverflowError if any is set, then unpacks one rank at a
-    time. e_r with r(r+1)/2 > order comes out zero.
+    time. Every e_r with r > top, r(r+1)/2 > order, is zero and not returned.
     """
-    if r_max < 0:
-        raise ValueError("r_max must be nonnegative")
     if order < 0:
         raise ValueError("order must be nonnegative")
     n, m, top = order + 1, order // 4, max_block_count(order)
@@ -62,7 +60,7 @@ def elementary_symmetric_series(r_max: int, order: int) -> list[TruncatedSeries]
     bad = sum(1 << (r * w + w - 1) for r in range(top + 1)) | -(1 << (top + 1) * w)
     if any(y & bad for y in ys):
         raise SlotOverflowError(f"e_r slot of {w} bits overflowed at order {order}")
-    return [TruncatedSeries([y >> r * w & mask for y in ys]) for r in range(r_max + 1)]
+    return [TruncatedSeries([y >> r * w & mask for y in ys]) for r in range(top + 1)]
 
 
 def _row_dots(es: list[TruncatedSeries], weights: list[int]) -> list[int]:
@@ -78,9 +76,8 @@ def _row_dots(es: list[TruncatedSeries], weights: list[int]) -> list[int]:
 
 def weighted_gf(order: int, weight: Callable[[int], int]) -> TruncatedSeries:
     """Sum of weight(r) * e_r over all ranks that can contribute."""
-    top = max_block_count(order)
-    es = elementary_symmetric_series(top, order)
-    return TruncatedSeries(_row_dots(es, [weight(r) for r in range(top + 1)]))
+    es = elementary_symmetric_series(order)
+    return TruncatedSeries(_row_dots(es, [weight(r) for r in range(len(es))]))
 
 
 def fibonacci_weighted_gf(order: int) -> TruncatedSeries:
@@ -104,9 +101,8 @@ def bivariate_gf(order: int) -> tuple[tuple[int, ...], ...]:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    r_top = max_block_count(order)
-    es = elementary_symmetric_series(r_top, order)
+    es = elementary_symmetric_series(order)
     v = overpartition_numbers(order)[-1].bit_length() + 1
-    weights = [sum(c << m * v for m, c in enumerate(fib_polynomial(r))) for r in range(r_top + 1)]
-    return _decode_rows(_row_dots(es, weights), v, order)
+    weights = [sum(c << m * v for m, c in enumerate(fib_polynomial(r))) for r in range(len(es))]
+    return _decode_rows(_row_dots(es, weights), v)
 

@@ -23,15 +23,16 @@ sign-grouped division loop behind p, p~ and the Euler factor, with its own
 `pentagonal_terms` and `theta_terms`. `normalized_scan`
 folds the normalized matrices in one n at a time over plain lists; it is
 the per-step reference for the recurrence route, which sums Euler's
-identity instead.
+identity instead. `euler_forward_pair` sums that identity term by term,
+front to back: the reference for the route's Horner fold.
 """
 
-from operator import add, sub
+from itertools import accumulate, repeat
+from operator import add, mul, sub
 
 from blocksep.fibonacci import fib_polynomial
-from blocksep.qseries import TruncatedSeries
+from blocksep.qseries import TruncatedSeries, max_block_count
 from blocksep.recurrence import StatePair
-from blocksep.symfun import max_block_count
 
 
 def zero(order):
@@ -226,3 +227,29 @@ def normalized_scan_pair(order):
     """The normalized pair after the full scan n = 1..order."""
     *_, pair = normalized_scan(order)
     return StatePair(*map(TruncatedSeries, pair))
+
+
+def euler_forward_pair(order):
+    """The normalized pair (1, 0) * prod_{n=1..order} (I + q^n G), summed forward.
+
+    One loop over plain lists for k = 1, 2, .. while T_k <= order, so
+    O(order^1.5) coefficient operations: h <- h * q^k / (1 - q^k) (one
+    shift, one strided prefix sum), (a, b) <- (b, a - b), then f0 += a * h
+    and f1 += b * h from q^(T_k) up; h = q^(T_k) / (q)_k is zero below.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    n = order + 1
+    h, f0, f1 = [1] + [0] * order, [1] + [0] * order, [0] * n
+    a, b = 1, 0
+    for k in range(1, max_block_count(order) + 1):
+        t = k * (k + 1) // 2
+        h[k:] = h[:n - k]
+        h[:k] = repeat(0, k)
+        for r in range(t, min(t + k, n)):
+            h[r::k] = accumulate(h[r::k])
+        a, b = b, a - b
+        for f, c in ((f0, a), (f1, b)):
+            if c:
+                f[t:] = map(add, f[t:], map(mul, h[t:], repeat(c)))
+    return StatePair(TruncatedSeries(f0), TruncatedSeries(f1))

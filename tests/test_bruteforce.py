@@ -42,7 +42,7 @@ class TestBlockPartition:
 
     def test_weight_and_blocks(self):
         p = BlockPartition(((3, 1), (1, 2)))
-        assert sum(part * mult for part, mult in p.blocks) == 5 and p.num_blocks == 2
+        assert sum(part * mult for part, mult in p.blocks) == 5 and len(p.blocks) == 2
 
     def test_rejects_nonincreasing_parts(self):
         with pytest.raises(ValueError):

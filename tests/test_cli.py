@@ -230,6 +230,41 @@ VERIFY_FAULTS = [
 ]
 
 
+def raised_at(n):
+    """An edit that adds 1 at q^n to a series or a list of coefficients."""
+    def edit(result, *_):
+        coeffs = list(getattr(result, "coeffs", result))
+        coeffs[n] += 1
+        return type(result)(coeffs)
+    return edit
+
+
+def route_raised_at_100(name):
+    def fault(mp):
+        route = cli.SERIES_METHODS[name]
+        mp.setitem(cli.SERIES_METHODS, name, lambda order: raised_at(100)(route(order)))
+    return fault
+
+
+HOLE = "ROADMAP item 2: verify reads p and p~ above n = 25 only through the loose sandwich"
+
+# (apply the fault, the first n it changes, the one check that must fail or None for any)
+FAULTS_ABOVE_THE_WINDOWS = [
+    *(pytest.param(route_raised_at_100(name), 100, "cross_method_equality", id=name)
+      for name in cli.SERIES_METHODS),
+    pytest.param(lambda mp: edit_result(mp, recurrence, "_euler_sum", raised_at(100)),
+                 100, "cross_method_equality", id="euler_sum_kernel"),
+    # F(9) weighs e_7, whose lowest term is q^28
+    pytest.param(lambda mp: edit_result(mp, symfun, "fib", lambda f, k: f + (k == 9)),
+                 28, "cross_method_equality", id="fib"),
+    pytest.param(lambda mp: edit_result(mp, cli, "euler_inverse", raised_at(100)), 100, None,
+                 id="partition_numbers", marks=pytest.mark.xfail(strict=True, reason=HOLE)),
+    pytest.param(lambda mp: edit_result(mp, cli, "overpartition_numbers", raised_at(100)), 100,
+                 None, id="overpartition_numbers",
+                 marks=pytest.mark.xfail(strict=True, reason=HOLE)),
+]
+
+
 class TestVerify:
     def test_all_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--limit", "30")
@@ -309,6 +344,20 @@ class TestVerify:
         statuses = dict(re.fullmatch(r"check (\S+) range \S+: (.*)", s).groups() for s in lines)
         assert statuses == {name: f"fail ({failed[name]})" if name in failed else "pass"
                             for name in VERIFY_CHECK_NAMES}
+
+    @pytest.mark.parametrize("fault, n, check", FAULTS_ABOVE_THE_WINDOWS)
+    def test_a_fault_above_every_oracle_window_fails(self, capsys, monkeypatch, fault, n, check):
+        fault(monkeypatch)
+        code, out, err = run(capsys, "verify", "--limit", "150")
+        assert code == 1 and err == ""
+        *lines, result = out.splitlines()
+        assert result == "result: fail"
+        statuses = dict(re.fullmatch(r"check (\S+) range \S+: (.*)", s).groups() for s in lines)
+        failed = {name: status for name, status in statuses.items() if status != "pass"}
+        assert failed and all(f"n={n}:" in status for status in failed.values())
+        if check is not None:
+            assert list(failed) == [check]
+            assert failed[check].startswith(f"fail (first difference at n={n}: ")
 
     @pytest.mark.parametrize("skipped, weighted, bivariate", [
         (((25, 1),), "n=25: bruteforce=15084 series=15086",
@@ -434,7 +483,7 @@ class TestBivariate:
         monkeypatch.setattr(symfun, "elementary_symmetric_series",
                             lambda *a: calls.append((a, list(inside))) or e_r(*a))
         assert run(capsys, "bivariate", "--limit", "40")[0] == 0
-        assert calls == [((6, 25), [25])]
+        assert calls == [((25,), [25])]
 
 
 class TestList:
@@ -624,6 +673,26 @@ class TestConfigPlumbing:
         assert link.is_symlink() and os.readlink(link) == str(target)
         assert target.read_text() == "1 2 4 7\n"
         assert sorted(tmp_path.iterdir()) == [link, target]
+
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs os.symlink")
+    def test_output_keeps_the_target_mode(self, capsys, tmp_path):
+        # the replacement takes the target's permission bits, through a link
+        # too; a new file gets the umask's
+        target, link, fresh = tmp_path / "out.txt", tmp_path / "link", tmp_path / "new.txt"
+        target.write_text("older contents\n")
+        link.symlink_to(target)
+        umask = os.umask(0o022)
+        try:
+            for path, mode in ((target, 0o600), (link, 0o640)):
+                target.chmod(mode)
+                assert run(capsys, "seq", "--limit", "5", "--output", str(path))[0] == 0
+                assert stat.S_IMODE(target.stat().st_mode) == mode
+            assert run(capsys, "seq", "--limit", "5", "--output", str(fresh))[0] == 0
+        finally:
+            os.umask(umask)
+        assert link.is_symlink() and target.read_text() == "1 2 4 7 12 19\n"
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o644
+        assert sorted(tmp_path.iterdir()) == [link, fresh, target]
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_output_pipe_by_dev_fd_path_is_written(self, capsys):

@@ -60,7 +60,7 @@ def test_normalized_recurrence():
 
 
 def test_elementary_symmetric_series():
-    es = elementary_symmetric_series(4, 12)
+    es = elementary_symmetric_series(12)
     assert type(es) is list and len(es) == 5
     for e in es:
         assert_series(e, 12)

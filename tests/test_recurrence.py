@@ -6,9 +6,9 @@ from blocksep.recurrence import (euler_factorized_gf, euler_factorized_triangle,
                                  normalized_recurrence)
 from blocksep.symfun import bivariate_gf
 from blocksep.transfer import matrix_product_gf
-from series_folds import (apply_matrix, bivariate_columns, iter_normalized_pairs, matrix_fold,
-                          normalized_matrix, normalized_scan_pair, one, start_pair,
-                          transfer_matrix, zero)
+from series_folds import (apply_matrix, bivariate_columns, euler_forward_pair,
+                          iter_normalized_pairs, matrix_fold, normalized_matrix,
+                          normalized_scan_pair, one, start_pair, transfer_matrix, zero)
 
 
 def series(*coeffs):
@@ -151,7 +151,7 @@ class TestEulerFactorizedGF:
         # the route folds only f0 + f1, inside out; the forward pair is its reference.
         # (a, b) <- (t b, a - b) and c_k = a_k + t b_k give F(2-k) at t = 1
         assert recurrence._normalized_total(order) == recurrence._normalized_total(order, 1) == \
-            list(normalized_recurrence(order).total().coeffs)
+            list(euler_forward_pair(order).total().coeffs)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

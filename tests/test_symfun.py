@@ -45,20 +45,20 @@ class TestMaxBlockCount:
 class TestElementarySymmetric:
     def test_e0_is_one(self):
         for n in (0, 3, 12):
-            assert elementary_symmetric_series(3, n)[0] == one(n)
+            assert elementary_symmetric_series(n)[0] == one(n)
 
     def test_e1_order4(self):
-        e1 = elementary_symmetric_series(1, 4)[1]
+        e1 = elementary_symmetric_series(4)[1]
         total = zero(4)
         for j in range(1, 5):
             total = total + s_block(j, 4)
         assert e1 == total == series(0, 1, 2, 2, 3)
 
     def test_degree_bound(self):
+        # e_r is nonzero exactly while r(r+1)/2 <= n: ranks 0..4 at n = 12
         n = 12
-        es = elementary_symmetric_series(8, n)
-        for r, e in enumerate(es):
-            assert (e == zero(n)) == (r * (r + 1) // 2 > n), r
+        es = elementary_symmetric_series(n)
+        assert len(es) == 5 and zero(n) not in es
 
     def test_matches_direct_expansion(self):
         # oracle: expand prod_j (1 + t*S_j) coefficient-wise in t
@@ -69,41 +69,38 @@ class TestElementarySymmetric:
             sj = s_block(j, n)
             for r in range(r_top, 0, -1):
                 direct[r] = direct[r] + direct[r - 1] * sj
-        assert elementary_symmetric_series(r_top, n) == direct
+        assert elementary_symmetric_series(n) == direct
 
     def test_minimal_monomial(self):
         # the lowest term of e_r is q^(1+2+..+r): the packed table's decode
         # relies on every rank above max_block_count(n) being zero
         n = 120
-        es = elementary_symmetric_series(max_block_count(n), n)
+        es = elementary_symmetric_series(n)
         for r, e in enumerate(es):
             lowest = next(k for k, c in enumerate(e.coeffs) if c)
             assert lowest == r * (r + 1) // 2, r
 
     def test_matches_reference_fold(self):
         # the packed table, which takes every size above n/4 in one step,
-        # against the unpacked fold that takes each size alone, with r_max
-        # below, at and above the largest rank that fits; the fold's e_r does
-        # not depend on r_max, so one fold serves all three
+        # against the unpacked fold that takes each size alone; the fold runs
+        # one rank past the largest that fits, and that rank must be zero
         for n in [*range(121), 500, 1000]:
-            top = max_block_count(n)
-            reference = elementary_symmetric_fold(top + 2, n)
-            for r_max in {max(top - 1, 0), top, top + 2}:
-                assert elementary_symmetric_series(r_max, n) == reference[:r_max + 1], \
-                    (n, r_max)
+            *reference, above = elementary_symmetric_fold(max_block_count(n) + 1, n)
+            assert above == zero(n), n
+            assert elementary_symmetric_series(n) == reference, n
 
     def test_narrow_width_raises(self, monkeypatch):
         # the slot width is read from p(order); at the width whose spare bit
         # the largest e_r[k] reaches, and at every narrower one, decode must
         # raise instead of returning a wrong table
         for n in (5, 30, 120):
-            table = elementary_symmetric_series(max_block_count(n), n)
+            table = elementary_symmetric_series(n)
             largest = max(max(e.coeffs) for e in table)
             for w in range(2, largest.bit_length() + 1):
                 monkeypatch.setattr(symfun, "partition_numbers",
                                     lambda order, w=w: [1 << (w - 2)] * (order + 1))
                 with pytest.raises(OverflowError):
-                    elementary_symmetric_series(max_block_count(n), n)
+                    elementary_symmetric_series(n)
             monkeypatch.undo()
 
     def test_largest_entry_at_most_doubles(self):
@@ -111,7 +108,7 @@ class TestElementarySymmetric:
         # doubles from k - 1 to k, the first slot to outgrow a narrow width
         # still fits in it and sets its spare bit
         n = 1000
-        table = elementary_symmetric_series(max_block_count(n), n)
+        table = elementary_symmetric_series(n)
         largest = [max(column) for column in zip(*(e.coeffs for e in table))]
         assert all(b <= 2 * a for a, b in zip(largest, largest[1:]))
 
@@ -125,7 +122,7 @@ class TestElementarySymmetric:
 
     @staticmethod
     def check_rank_sums(n):
-        columns = list(zip(*(e.coeffs for e in elementary_symmetric_series(max_block_count(n), n))))
+        columns = list(zip(*(e.coeffs for e in elementary_symmetric_series(n))))
         assert [sum(col) for col in columns] == partition_numbers(n)
         assert [sum(c << r for r, c in enumerate(col)) for col in columns] == \
             overpartition_numbers(n)
@@ -241,10 +238,9 @@ class TestBivariate:
 
 
 @pytest.mark.parametrize("call", [
-    lambda: elementary_symmetric_series(-1, 3),
-    lambda: elementary_symmetric_series(3, -1),
+    lambda: elementary_symmetric_series(-1),
     lambda: bivariate_gf(-1),
-], ids=["e_r_rank", "e_r_order", "bivariate_gf"])
+], ids=["e_r_order", "bivariate_gf"])
 def test_rejects_bad_arguments(call):
     with pytest.raises(ValueError):
         call()
