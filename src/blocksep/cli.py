@@ -44,9 +44,6 @@ METHOD_CHOICES = (*SERIES_METHODS, "bruteforce", "all")
 # Brute-force routes only join cross-checks up to this weight unless the
 # user raises --cap-enum; beyond it they are too slow to be a default.
 ORACLE_WINDOW = 25
-LISTING_WINDOW = 20
-
-TRUE_WORDS, FALSE_WORDS = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 T = TypeVar("T")
 
@@ -64,7 +61,6 @@ class RunConfig:
     format: str = "plain"
     cap_enum: int | None = None
     output: str | None = None  # None or empty text: stdout
-    inject_fault: bool = False
 
     def cap(self, default: int) -> int:
         """An enumeration cap or oracle window: --cap-enum if given, else default."""
@@ -78,15 +74,10 @@ def _count(text: str) -> int:
     raise ValueError(f"must be an integer in 0..{sys.maxsize - 1}; got {text!r}")
 
 
-def _word(kind: str, words: Collection[str], text: str, fold: Callable[[str], str] = str) -> str:
-    if (word := fold(text)) not in words:
+def _word(kind: str, words: Collection[str], text: str) -> str:
+    if text not in words:
         raise ValueError(f"must be {kind}, one of {', '.join(words)}; got {text!r}")
-    return word
-
-
-def _switch(text: str) -> bool:
-    return _word("yes or no", TRUE_WORDS + FALSE_WORDS, text,
-                 lambda t: t.strip().lower()) in TRUE_WORDS
+    return text
 
 
 def _checked(source: str, parse: Callable[[str], T], text: str) -> T:
@@ -97,16 +88,14 @@ def _checked(source: str, parse: Callable[[str], T], text: str) -> T:
         raise UsageError(f"{source} {exc}") from None
 
 
-# name -> (parse of the text its flag or BLOCKSEP_ twin gives, the flag's argparse keywords)
-SETTINGS: dict[str, tuple[Callable[[str], object] | None, dict[str, str]]] = {
-    "limit": (_count, {"help": "top weight n (default 10)"}),
+# name -> (parse of the text its flag or BLOCKSEP_ twin gives, the flag's help)
+SETTINGS: dict[str, tuple[Callable[[str], object] | None, str | None]] = {
+    "limit": (_count, "top weight n (default 10)"),
     "method": (functools.partial(_word, "a method", METHOD_CHOICES),
-               {"help": "one of " + ", ".join(METHOD_CHOICES)}),
-    "format": (None, {}),  # both come from the command's renderers
-    "cap_enum": (_count, {"help": "override brute-force enumeration caps"}),
-    "output": (str, {"help": "write to file instead of stdout"}),
-    "inject_fault": (_switch, {"nargs": "?", "const": "yes", "metavar": "yes/no",
-                               "help": "self-test: flip one coefficient, expect failure"}),
+               "one of " + ", ".join(METHOD_CHOICES)),
+    "format": (None, None),  # both come from the command's renderers
+    "cap_enum": (_count, "override brute-force enumeration caps"),
+    "output": (str, "write to file instead of stdout"),
 }
 
 
@@ -201,10 +190,10 @@ def _lines_text(lines: Iterable[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sequence(cfg: RunConfig, method: str) -> list[int]:
+def _sequence(cfg: RunConfig, method: str) -> Sequence[int]:
     """b(0..limit) by one route."""
     if method != "bruteforce":
-        return list(SERIES_METHODS[method](cfg.limit).coeffs)
+        return SERIES_METHODS[method](cfg.limit).coeffs
     return bruteforce.count_block_separated(cfg.limit, cap=cfg.cap(bruteforce.DEFAULT_WEIGHT_CAP))
 
 
@@ -226,7 +215,7 @@ SEQ_FORMATS = {
 }
 
 
-def _checked_sequence(cfg: RunConfig) -> tuple[list[int], list[dict]] | None:
+def _checked_sequence(cfg: RunConfig) -> tuple[Sequence[int], list[dict]] | None:
     """b(0..limit) by cfg.method and its checks; None once `all` reports a disagreement."""
     if cfg.method != "all":
         return _sequence(cfg, cfg.method), []
@@ -250,7 +239,7 @@ def cmd_seq(cfg: RunConfig, _args: argparse.Namespace) -> int:
     return _emit(cfg, SEQ_FORMATS, *found)
 
 
-def _table_plain(cfg: RunConfig, rows: dict[str, list[int]]) -> str:
+def _table_plain(cfg: RunConfig, rows: dict[str, Sequence[int]]) -> str:
     labels = {"p": "p(n)", "pbar": "p~(n)", "b": "b(n)"}
     table = [["n"] + [str(i) for i in range(cfg.limit + 1)]]
     table += [[labels[key]] + [str(v) for v in values] for key, values in rows.items()]
@@ -279,7 +268,7 @@ def cmd_table(cfg: RunConfig, _args: argparse.Namespace) -> int:
     return _emit(cfg, TABLE_FORMATS, rows)
 
 
-def _verify_checks(cfg: RunConfig) -> tuple[list[dict], list[int]]:
+def _verify_checks(cfg: RunConfig) -> tuple[list[dict], Sequence[int]]:
     n = cfg.limit
 
     def window(default: int | None) -> int:  # None: the whole limit
@@ -313,9 +302,6 @@ def _verify_checks(cfg: RunConfig) -> tuple[list[dict], list[int]]:
         return f"n={k}: lower bound not strict" if k >= 1 and not p[k] < values[k] else None
 
     results = {m: _sequence(cfg, m) for m in SERIES_METHODS}
-    if cfg.inject_fault:
-        # self-test of the detector: flip one coefficient and watch it fail
-        results["matrix"][min(1, n)] += 1
     values = results["recurrence"]
     first = _first_difference(results, n)
     p = euler_inverse(n).coeffs
@@ -327,7 +313,7 @@ def _verify_checks(cfg: RunConfig) -> tuple[list[dict], list[int]]:
 
     table = [("cross_method_equality", None, cross_method),
              ("oracle_weighted_count", ORACLE_WINDOW, weighted_count),
-             ("oracle_explicit_listing", LISTING_WINDOW, explicit_listing),
+             ("oracle_explicit_listing", bruteforce.DEFAULT_LISTING_CAP, explicit_listing),
              ("bivariate_oracle", ORACLE_WINDOW, bivariate),
              ("sandwich", None, sandwich)]
     checks = []
@@ -342,7 +328,7 @@ def _verify_checks(cfg: RunConfig) -> tuple[list[dict], list[int]]:
     return checks, values
 
 
-def _verify_plain(cfg: RunConfig, checks: list[dict], values: list[int], ok: bool) -> str:
+def _verify_plain(cfg: RunConfig, checks: list[dict], values: Sequence[int], ok: bool) -> str:
     lines = [f"check {c['name']} range {c['range']}: {c['status']}"
              + (f" ({c['detail']})" if "detail" in c else "") for c in checks]
     return _lines_text(lines + [f"result: {'pass' if ok else 'fail'}"])
@@ -468,7 +454,7 @@ COMMANDS = {
     "table": ("emit p(n), p~(n), b(n) side by side", cmd_table, TABLE_FORMATS,
               ("limit", "method", "format", "cap_enum", "output")),
     "verify": ("run the cross-method and oracle checks", cmd_verify, VERIFY_FORMATS,
-               ("limit", "format", "cap_enum", "output", "inject_fault")),
+               ("limit", "format", "cap_enum", "output")),
     "decorations": ("list decoration words of length r", cmd_decorations,
                     DECORATION_FORMATS, ("format", "cap_enum", "output")),
     "bivariate": ("emit the triangle b(n, m)", cmd_bivariate, BIVARIATE_FORMATS,
@@ -492,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("r", help="number of blocks")
         for setting in settings:
             p.add_argument("--" + setting.replace("_", "-"),
-                           **(SETTINGS[setting][1] or {"help": "one of " + ", ".join(renderers)}))
+                           help=SETTINGS[setting][1] or "one of " + ", ".join(renderers))
     return parser
 
 

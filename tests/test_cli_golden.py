@@ -13,7 +13,9 @@ import shlex
 
 import pytest
 
+from blocksep import cli
 from blocksep.cli import main
+from blocksep.qseries import TruncatedSeries
 
 # exit status, sha256 of stdout, command line
 GOLDEN = """
@@ -181,10 +183,7 @@ GOLDEN = """
 0 a802417abda5787220e78e81980d9e589d0870c1f3c5710ebf583e9af0db863f bivariate
 0 c26c4a2d9af4c32e607789cfc7c1f4d3af08f7ed9fe0521eb3c6c86aeed4c4bd list
 0 234ad66c25e46c076a8668198cc36934f76e1ba51ee4712926c605bad9abd16f decorations 3
-1 43894e684d5044056ba27fa5f5ef20365bcbdd498fca9e1571fb2abb2ffdbf95 verify --limit 12 --inject-fault --format plain
-1 d8442a21dc70b3ddfdac3c2b0489f77ee8c241c2d6d59905840e7c7c49566b70 verify --limit 12 --inject-fault --format csv
-1 d10b3d7c72a31a5e1cb065b4a2f7f81faab8f9aa252c29afd4ad2fbde5cb6fcb verify --limit 12 --inject-fault --format json
-1 44edfa77697c01e93ed39f9f9c5503fbc3a4e0a150bb59976aa3565730899d69 verify --limit 0 --inject-fault
+2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 verify --limit 5 --inject-fault
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 verify --limit 12 --method bruteforce
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 seq --limit 70 --method bruteforce
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 table --limit 70 --method bruteforce
@@ -217,16 +216,28 @@ GOLDEN = """
 0 96fb48c3b2c3576e0d4e6cccea98d01ffd949afd2902fda43a90272d312c5c1c BLOCKSEP_CAP_ENUM=2 verify --limit 12
 0 f374face135d898b8c277fe1087aecba1c22e845295c1941ce4cb0f814e80d20 BLOCKSEP_CAP_ENUM=26 seq --limit 26 --method bruteforce
 2 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 BLOCKSEP_CAP_ENUM=x seq --limit 5
-1 dd4af2da24337ff552ac30a5686467d2557ca6a120eb39718d96ebfcc1513609 BLOCKSEP_INJECT_FAULT=1 verify --limit 5
-1 bcc4c87d95f9f77622996f3bc486c58911a606769e24617947287b88b3c31091 BLOCKSEP_INJECT_FAULT=yes verify --limit 5 --format json
 0 4863bcda04fad69044383668fc96670dc351b9073c5a9c93705d20d9709c8809 BLOCKSEP_INJECT_FAULT=off verify --limit 5
 0 98715b54fe00944ed6d5ce7e7cd0e47394b60c8049f997fc96f61be39c7369d6 BLOCKSEP_LIMIT=4 BLOCKSEP_METHOD=all BLOCKSEP_FORMAT=csv seq
 """
 
-CASES = [line.split(maxsplit=2) for line in GOLDEN.strip().splitlines()]
+# the same, run with the matrix route one too large at n = min(1, limit): the
+# detector's self-test, whose failure output is pinned here
+UNDER_A_FAULT = """
+1 43894e684d5044056ba27fa5f5ef20365bcbdd498fca9e1571fb2abb2ffdbf95 verify --limit 12 --format plain
+1 d8442a21dc70b3ddfdac3c2b0489f77ee8c241c2d6d59905840e7c7c49566b70 verify --limit 12 --format csv
+1 d10b3d7c72a31a5e1cb065b4a2f7f81faab8f9aa252c29afd4ad2fbde5cb6fcb verify --limit 12 --format json
+1 44edfa77697c01e93ed39f9f9c5503fbc3a4e0a150bb59976aa3565730899d69 verify --limit 0
+1 dd4af2da24337ff552ac30a5686467d2557ca6a120eb39718d96ebfcc1513609 verify --limit 5
+1 bcc4c87d95f9f77622996f3bc486c58911a606769e24617947287b88b3c31091 verify --limit 5 --format json
+"""
 
 
-@pytest.mark.parametrize("code, digest, command", CASES, ids=[c[2] for c in CASES])
+def cases(table):
+    rows = [line.split(maxsplit=2) for line in table.strip().splitlines()]
+    return pytest.mark.parametrize("code, digest, command", rows, ids=[r[2] for r in rows])
+
+
+@cases(GOLDEN)
 def test_golden(code, digest, command, capsys, monkeypatch):
     for name in [k for k in os.environ if k.startswith("BLOCKSEP_")]:
         monkeypatch.delenv(name)
@@ -240,3 +251,16 @@ def test_golden(code, digest, command, capsys, monkeypatch):
         status = exc.code
     out = capsys.readouterr().out
     assert (status, hashlib.sha256(out.encode()).hexdigest()) == (int(code), digest)
+
+
+@cases(UNDER_A_FAULT)
+def test_golden_under_a_fault(code, digest, command, capsys, monkeypatch):
+    route = cli.SERIES_METHODS["matrix"]
+
+    def faulty(order):
+        coeffs = list(route(order).coeffs)
+        coeffs[min(1, order)] += 1
+        return TruncatedSeries(coeffs)
+
+    monkeypatch.setitem(cli.SERIES_METHODS, "matrix", faulty)
+    test_golden(code, digest, command, capsys, monkeypatch)

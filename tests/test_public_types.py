@@ -2,14 +2,16 @@
 
 `TruncatedSeries` holds a tuple, `StatePair` two such series and the
 triangle a tuple of tuples, so no caller can see or change a route's
-working lists. The export list and the names the benchmark harness wraps
-are pinned here too.
+working lists. The export list, the names the benchmark harness wraps and
+README's library examples are pinned here too.
 """
 
 import copy
+import doctest
 import importlib
 import importlib.util
 import pickle
+import re
 import sys
 from pathlib import Path
 
@@ -25,6 +27,7 @@ from blocksep.symfun import (bivariate_gf, elementary_symmetric_series, fibonacc
 from blocksep.transfer import matrix_product_gf
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def assert_series(s, order):
@@ -158,3 +161,14 @@ def test_names_the_harness_wraps_resolve(monkeypatch):
     for methods in spans.KERNELS.values():
         for method in methods:
             assert callable(getattr(TruncatedSeries, method, None)), method
+
+
+def test_readme_examples_run():
+    # one doctest per fenced python block: doctest.testfile would read each
+    # closing fence as the expected output of the example before it
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.MULTILINE | re.DOTALL)
+    parser, runner = doctest.DocTestParser(), doctest.DocTestRunner()
+    for i, block in enumerate(blocks):
+        runner.run(parser.get_doctest(block, {}, f"README.md python block {i}", str(README), 0))
+    failed, attempted = runner.summarize(verbose=False)
+    assert blocks and attempted and not failed
