@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from typing import TypeVar
 
 from . import bruteforce, fibonacci, recurrence, symfun, transfer
-from .bruteforce import DecoratedPartition
-from .fibonacci import (CapExceededError, enumerate_decorations, word_to_independent_set,
-                        word_to_tiling)
+from .fibonacci import (CapExceededError, DecorationWord, enumerate_decorations,
+                        word_to_independent_set, word_to_tiling)
 from .qseries import SlotOverflowError, euler_inverse, overpartition_numbers
 
 ENV_PREFIX = "BLOCKSEP_"
@@ -351,42 +350,42 @@ def cmd_verify(cfg: RunConfig, _args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _render_tiling(tiles) -> str:
-    return "".join(f"[{t.value}]" for t in tiles) if tiles else "-"
+def _listing_formats(header: list[str], method: str, line: Callable, row: Callable,
+                     obj: Callable) -> dict:
+    """The renderers of a listing: one line per item, then `count N`; a csv header, then
+    one row per item; or JSON with a count. Each takes (cfg, n, items, count) and reads
+    items, an iterator of count items, once."""
+    return {
+        "plain": lambda cfg, n, items, count: _lines_text(
+            itertools.chain(map(line, items), [f"count {count}"])),
+        "csv": lambda cfg, n, items, count: _csv_text(itertools.chain([header], map(row, items))),
+        "json": lambda cfg, n, items, count: _json_text(
+            n, list(map(obj, items)), method, [], count=count),
+    }
 
 
-def _render_set(positions) -> str:
-    return "{" + ",".join(str(p) for p in sorted(positions)) + "}"
+def _positions(w: DecorationWord) -> list[int]:
+    return sorted(word_to_independent_set(w))
 
 
-def _decorations_json(cfg: RunConfig, r: int, rows: Iterable, count: int) -> str:
-    values = [
-        {"word": word, "independent_set": positions, "tiling": [t.value for t in tiles]}
-        for word, positions, tiles in rows
-    ]
-    return _json_text(r, values, "enumeration", [], count=count)
+def _tiling_text(w: DecorationWord) -> str:
+    return "".join(f"[{t.value}]" for t in word_to_tiling(w)) or "-"
 
 
-# each renderer reads rows, a generator, once; count is its length
-DECORATION_FORMATS = {
-    "plain": lambda cfg, r, rows, count: _lines_text(itertools.chain(
-        (f"{word or '-'}  {_render_set(positions)}  {_render_tiling(tiles)}"
-         for word, positions, tiles in rows), [f"count {count}"]
-    )),
-    "csv": lambda cfg, r, rows, count: _csv_text(itertools.chain(
-        [["word", "independent_set", "tiling"]],
-        ([word or "-", " ".join(map(str, positions)), _render_tiling(tiles)]
-         for word, positions, tiles in rows)
-    )),
-    "json": _decorations_json,
-}
+DECORATION_FORMATS = _listing_formats(
+    ["word", "independent_set", "tiling"], "enumeration",
+    line=lambda w: "  ".join(
+        [str(w) or "-", "{" + ",".join(map(str, _positions(w))) + "}", _tiling_text(w)]),
+    row=lambda w: [str(w) or "-", " ".join(map(str, _positions(w))), _tiling_text(w)],
+    obj=lambda w: {"word": str(w), "independent_set": _positions(w),
+                   "tiling": [t.value for t in word_to_tiling(w)]},
+)
 
 
 def cmd_decorations(cfg: RunConfig, args: argparse.Namespace) -> int:
     r = _checked("r", _count, args.r)
     words = enumerate_decorations(r, cap=cfg.cap(fibonacci.DEFAULT_ENUMERATION_CAP))
-    rows = ((str(w), sorted(word_to_independent_set(w)), word_to_tiling(w)) for w in words)
-    return _emit(cfg, DECORATION_FORMATS, r, rows, len(words))
+    return _emit(cfg, DECORATION_FORMATS, r, iter(words), len(words))
 
 
 def _bivariate_csv(cfg: RunConfig, rows: tuple[tuple[int, ...], ...]) -> str:
@@ -416,35 +415,20 @@ def cmd_bivariate(cfg: RunConfig, _args: argparse.Namespace) -> int:
     return _emit(cfg, BIVARIATE_FORMATS, rows)
 
 
-def _list_json(cfg: RunConfig, items: list[DecoratedPartition]) -> str:
-    values = [
-        {
-            "blocks": [
-                {"part": part, "multiplicity": mult, "overlined": bool(bit)}
-                for (part, mult), bit in zip(d.skeleton.blocks, d.decoration.bits)
-            ],
-            "rendered": str(d),
-        }
-        for d in items
-    ]
-    return _json_text(cfg.limit, values, "bruteforce", [], count=len(items))
-
-
-LIST_FORMATS = {
-    "plain": lambda cfg, items: _lines_text(itertools.chain(
-        map(str, items), [f"count {len(items)}"]
-    )),
-    "csv": lambda cfg, items: _csv_text(itertools.chain(
-        [["partition", "decoration"]],
-        ([str(d), str(d.decoration)] for d in items)
-    )),
-    "json": _list_json,
-}
+LIST_FORMATS = _listing_formats(
+    ["partition", "decoration"], "bruteforce",
+    line=str,
+    row=lambda d: [str(d), str(d.decoration)],
+    obj=lambda d: {"blocks": [{"part": part, "multiplicity": mult, "overlined": bool(bit)}
+                              for (part, mult), bit in zip(d.skeleton.blocks, d.decoration.bits)],
+                   "rendered": str(d)},
+)
 
 
 def cmd_list(cfg: RunConfig, _args: argparse.Namespace) -> int:
     cap = cfg.cap(bruteforce.DEFAULT_LISTING_CAP)
-    return _emit(cfg, LIST_FORMATS, bruteforce.list_block_separated(cfg.limit, cap=cap))
+    items = bruteforce.list_block_separated(cfg.limit, cap=cap)
+    return _emit(cfg, LIST_FORMATS, cfg.limit, iter(items), len(items))
 
 
 # name -> (help, handler, renderers, the settings it reads, in the order they resolve)

@@ -180,6 +180,8 @@ def word_to_tiling(w: DecorationWord) -> tuple[Tile, ...]:
 
 def tiling_to_word(tiles: tuple[Tile, ...], r: int) -> DecorationWord:
     """Inverse of word_to_tiling for words of length r."""
+    if r < 0:
+        raise ValueError("r must be nonnegative")
     bits: list[int] = []
     for t in tiles:
         if not isinstance(t, Tile):

@@ -37,9 +37,7 @@ def elementary_symmetric_series(order: int) -> list[TruncatedSeries]:
     raising SlotOverflowError if any is set, then unpacks one rank at a
     time. Every e_r with r > top, r(r+1)/2 > order, is zero and not returned.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    n, m, top = order + 1, order // 4, max_block_count(order)
+    n, m, top = order + 1, order // 4, max_block_count(order)  # a negative order raises here
     w = partition_numbers(order)[-1].bit_length() + 1
     ys = [1] + [0] * order
     for k in range(m + 1, n):
@@ -99,9 +97,7 @@ def bivariate_gf(order: int) -> tuple[tuple[int, ...], ...]:
     p~(order), so v is that bound's bit length plus a spare bit and no slot
     carries into the next; `_decode_rows` checks and unpacks the rows.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    es = elementary_symmetric_series(order)
+    es = elementary_symmetric_series(order)  # a negative order raises here
     v = overpartition_numbers(order)[-1].bit_length() + 1
     weights = [sum(c << m * v for m, c in enumerate(fib_polynomial(r))) for r in range(len(es))]
     return _decode_rows(_row_dots(es, weights), v)

@@ -22,6 +22,7 @@ from blocksep.qseries import TruncatedSeries, euler_inverse
 from blocksep.symfun import weighted_gf
 
 TABLE1_B = "1 2 4 7 12 19 31 47 72 107 157"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -519,6 +520,34 @@ class TestList:
     def test_cap_exceeded(self, capsys):
         code, _, err = run(capsys, "list", "--limit", "21")
         assert code == 2 and "cap" in err
+
+
+def readme_command_lines():
+    """(argv, comment) for each `blocksep ...` line of README's "Command line" sh block."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```$", text, re.M | re.S)[1]
+    lines = [line.partition("#") for line in block.splitlines()]
+    assert all(command.split()[0] == "blocksep" for command, _, _ in lines)
+    return [(command.split()[1:], comment.strip()) for command, _, comment in lines]
+
+
+README_COMMANDS = readme_command_lines()
+
+
+def test_readme_lists_every_command():
+    assert [argv[0] for argv, _ in README_COMMANDS] == [
+        "seq", "seq", "table", "verify", "decorations", "bivariate", "list"]
+
+
+@pytest.mark.parametrize("argv, comment", README_COMMANDS,
+                         ids=[" ".join(argv) for argv, _ in README_COMMANDS])
+def test_readme_command_line_runs(capsys, argv, comment):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    if argv == ["seq", "--limit", "10"]:
+        assert out == comment + "\n" == TABLE1_B + "\n"
+    if argv[0] == "list":
+        assert out.endswith("\ncount 19\n") and "2~+2+1" in out.splitlines()
 
 
 @pytest.mark.parametrize("argv, library_call, refusal", [

@@ -223,14 +223,17 @@ class TestTilings:
             independent_set_to_word(positions, 2)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: decoration_count(-1),
-    lambda: enumerate_decorations(-1),
-    lambda: fib_polynomial(-1),
-    lambda: DecorationWord((True, False)),
-    lambda: independent_set_to_word(frozenset(), -2),
+@pytest.mark.parametrize("call, match", [
+    (lambda: decoration_count(-1), "r must be nonnegative"),
+    (lambda: enumerate_decorations(-1), "r must be nonnegative"),
+    (lambda: fib_polynomial(-1), "r must be nonnegative"),
+    (lambda: DecorationWord((True, False)), "bits must be 0 or 1"),
+    (lambda: independent_set_to_word(frozenset(), -2), "r must be nonnegative"),
+    # a negative r used to be read as a bad cover: "only a final domino may overhang"
+    (lambda: tiling_to_word((), -1), "r must be nonnegative"),
+    (lambda: tiling_to_word((Tile.PLAIN,), -1), "r must be nonnegative"),
 ], ids=["decoration_count", "enumerate_decorations", "fib_polynomial", "DecorationWord",
-        "independent_set_to_word"])
-def test_rejects_bad_arguments(call):
-    with pytest.raises(ValueError):
+        "independent_set_to_word", "tiling_to_word_empty", "tiling_to_word"])
+def test_rejects_bad_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
         call()

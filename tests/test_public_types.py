@@ -2,14 +2,16 @@
 
 `TruncatedSeries` holds a tuple, `StatePair` two such series and the
 triangle a tuple of tuples, so no caller can see or change a route's
-working lists. The export list, the names the benchmark harness wraps and
-README's library examples are pinned here too.
+working lists. The export list, the refusal of a negative order or size,
+the names the benchmark harness wraps and README's library examples are
+pinned here too.
 """
 
 import copy
 import doctest
 import importlib
 import importlib.util
+import inspect
 import pickle
 import re
 import sys
@@ -25,6 +27,33 @@ from blocksep.recurrence import StatePair, euler_factorized_gf, normalized_recur
 from blocksep.symfun import (bivariate_gf, elementary_symmetric_series, fibonacci_weighted_gf,
                              weighted_gf)
 from blocksep.transfer import matrix_product_gf
+
+# the name of each parameter that is an order or a size, and, for every public
+# function that takes one, its arguments with -1 in that place
+SIZES = {"order", "n", "r", "k"}
+NEGATIVE_SIZE_CALLS = {
+    "bivariate_gf": (-1,),
+    "count_bivariate_oracle": (-1,),
+    "count_block_separated": (-1,),
+    "decoration_count": (-1,),
+    "elementary_symmetric_series": (-1,),
+    "enumerate_decorations": (-1,),
+    "euler_factorized_gf": (-1,),
+    "euler_factorized_triangle": (-1,),
+    "euler_inverse": (-1,),
+    "fib": (-1,),
+    "fib_polynomial": (-1,),
+    "fibonacci_weighted_gf": (-1,),
+    "independent_set_to_word": (frozenset(), -1),
+    "list_block_separated": (-1,),
+    "matrix_product_gf": (-1,),
+    "max_block_count": (-1,),
+    "normalized_recurrence": (-1,),
+    "overpartition_numbers": (-1,),
+    "partition_numbers": (-1,),
+    "tiling_to_word": ((), -1),
+    "weighted_gf": (-1, lambda r: 1),
+}
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -147,6 +176,24 @@ def test_star_import_gives_every_exported_name():
     exec("from blocksep import *", namespace)
     for name in blocksep.__all__:
         assert namespace[name] is getattr(blocksep, name), name
+
+
+def size_parameter(name):
+    """The parameter of public function name that is an order or a size, or None."""
+    f = getattr(blocksep, name)
+    if not inspect.isfunction(f):  # a class
+        return None
+    return next((p for p in inspect.signature(f).parameters if p in SIZES), None)
+
+
+def test_every_sized_function_is_in_the_negative_size_table():
+    assert {name for name in blocksep.__all__ if size_parameter(name)} == set(NEGATIVE_SIZE_CALLS)
+
+
+@pytest.mark.parametrize("name", NEGATIVE_SIZE_CALLS)
+def test_a_negative_order_or_size_is_refused(name):
+    with pytest.raises(ValueError, match=f"^{size_parameter(name)} must be nonnegative$"):
+        getattr(blocksep, name)(*NEGATIVE_SIZE_CALLS[name])
 
 
 def test_names_the_harness_wraps_resolve(monkeypatch):
