@@ -21,7 +21,7 @@ import shutil
 import sys
 from collections.abc import Callable, Collection, Iterable, Sequence
 from dataclasses import dataclass
-from typing import TypeVar
+from typing import TextIO, TypeVar
 
 from . import bruteforce, fibonacci, recurrence, symfun, transfer
 from .fibonacci import (CapExceededError, DecorationWord, enumerate_decorations,
@@ -113,27 +113,27 @@ def _resolve_config(args: argparse.Namespace, formats: dict, settings: tuple) ->
 
 
 def _emit(cfg: RunConfig, renderers: dict, *data) -> int:
-    """Render data in cfg's format; replace a regular --output whole, never partly.
+    """Render data in cfg's format; a failed render writes nothing, --output is replaced whole.
 
-    A target that is not a regular file (a FIFO, /dev/stdout) is written as
-    given, since a rename would replace it; a regular file is replaced at its
-    symlink-resolved path, so a link stays a link, and keeps its mode bits.
+    A regular file is rendered into a temporary file renamed over its symlink-resolved
+    path, so a link stays a link, and keeps its mode bits; stdout and other targets (a
+    FIFO, /dev/stdout), which a rename would replace, get the text once rendering ends.
     """
-    text = renderers[cfg.format](cfg, *data)
+    render = renderers[cfg.format]
     try:
-        if not cfg.output:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-            return EXIT_OK
-        if os.path.exists(cfg.output) and not os.path.isfile(cfg.output):
-            with open(cfg.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+        if not cfg.output or os.path.exists(cfg.output) and not os.path.isfile(cfg.output):
+            buf = io.StringIO()
+            render(buf, cfg, *data)
+            with (open(cfg.output, "w", encoding="utf-8") if cfg.output
+                  else contextlib.nullcontext(sys.stdout)) as fh:
+                print(buf.getvalue(), end="", file=fh, flush=True)
             return EXIT_OK
         target = os.path.realpath(cfg.output)
         tmp = f"{target}.{os.getpid()}.tmp"
+        fh = open(tmp, "x", encoding="utf-8")  # "x": a file already there is not this run's
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with fh:
+                render(fh, cfg, *data)
             with contextlib.suppress(FileNotFoundError):  # a new file keeps the umask's mode
                 shutil.copymode(target, tmp)
             os.replace(tmp, target)
@@ -161,11 +161,8 @@ def _discard_stdout() -> None:
             os.close(fd)
 
 
-def _csv_text(rows: Iterable) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
+def _write_csv(out: TextIO, rows: Iterable) -> None:
+    csv.writer(out, lineterminator="\n").writerows(rows)
 
 
 # indent selects the pure-Python encoder, which yields a few bytes per piece
@@ -173,20 +170,16 @@ _JSON_ENCODER = json.JSONEncoder(indent=2)
 _JSON_BATCH = 4096
 
 
-def _json_text(n: int, values: object, method: str, checks: list[dict], **extra) -> str:
-    """json.dumps(doc, indent=2) and a newline. The encoder's pieces are joined a
-    batch at a time, so the pieces of the whole text are never listed at once."""
+def _write_json(out: TextIO, n: int, values: object, method: str, checks: list[dict],
+                **extra) -> None:
+    """json.dump(doc, out, indent=2) and a newline. The encoder's pieces are joined and
+    written a batch at a time, so the pieces of the whole text are never listed at once."""
     doc = {"n": n, "values": values, "method": method, "checks": checks}
     doc.update(extra)
-    pieces, batches = _JSON_ENCODER.iterencode(doc), []
+    pieces = _JSON_ENCODER.iterencode(doc)
     while batch := list(itertools.islice(pieces, _JSON_BATCH)):  # [] only once exhausted
-        batches.append("".join(batch))
-    batches.append("\n")
-    return "".join(batches)
-
-
-def _lines_text(lines: Iterable[str]) -> str:
-    return "\n".join(lines) + "\n"
+        out.write("".join(batch))
+    out.write("\n")
 
 
 def _sequence(cfg: RunConfig, method: str) -> Sequence[int]:
@@ -206,11 +199,13 @@ def _at(named: dict[str, Sequence], n: int) -> dict:
 
 
 SEQ_FORMATS = {
-    "plain": lambda cfg, values, checks: " ".join(str(v) for v in values) + "\n",
-    "csv": lambda cfg, values, checks: _csv_text(
-        itertools.chain([["n", "b"]], enumerate(values))),
-    "json": lambda cfg, values, checks: _json_text(cfg.limit, values, cfg.method, checks),
-    "bfile": lambda cfg, values, checks: "".join(f"{n} {v}\n" for n, v in enumerate(values)),
+    "plain": lambda out, cfg, values, checks: print(" ".join(str(v) for v in values), file=out),
+    "csv": lambda out, cfg, values, checks: _write_csv(
+        out, itertools.chain([["n", "b"]], enumerate(values))),
+    "json": lambda out, cfg, values, checks: _write_json(
+        out, cfg.limit, values, cfg.method, checks),
+    "bfile": lambda out, cfg, values, checks: out.writelines(
+        f"{n} {v}\n" for n, v in enumerate(values)),
 }
 
 
@@ -238,24 +233,22 @@ def cmd_seq(cfg: RunConfig, _args: argparse.Namespace) -> int:
     return _emit(cfg, SEQ_FORMATS, *found)
 
 
-def _table_plain(cfg: RunConfig, rows: dict[str, Sequence[int]]) -> str:
+def _table_plain(out: TextIO, cfg: RunConfig, rows: dict[str, Sequence[int]]) -> None:
     labels = {"p": "p(n)", "pbar": "p~(n)", "b": "b(n)"}
     table = [["n"] + [str(i) for i in range(cfg.limit + 1)]]
     table += [[labels[key]] + [str(v) for v in values] for key, values in rows.items()]
     widths = [max(len(cell) for cell in column) for column in zip(*table)]
-    return "".join(
-        "  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip() + "\n"
-        for row in table
-    )
+    for row in table:
+        print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip(), file=out)
 
 
 TABLE_FORMATS = {
     "plain": _table_plain,
-    "csv": lambda cfg, rows: _csv_text(
-        [["n", *range(cfg.limit + 1)], ["p", *rows["p"]], ["p~", *rows["pbar"]],
-         ["b", *rows["b"]]]
+    "csv": lambda out, cfg, rows: _write_csv(
+        out, [["n", *range(cfg.limit + 1)], ["p", *rows["p"]], ["p~", *rows["pbar"]],
+              ["b", *rows["b"]]]
     ),
-    "json": lambda cfg, rows: _json_text(cfg.limit, rows, cfg.method, []),
+    "json": lambda out, cfg, rows: _write_json(out, cfg.limit, rows, cfg.method, []),
 }
 
 
@@ -327,19 +320,22 @@ def _verify_checks(cfg: RunConfig) -> tuple[list[dict], Sequence[int]]:
     return checks, values
 
 
-def _verify_plain(cfg: RunConfig, checks: list[dict], values: Sequence[int], ok: bool) -> str:
-    lines = [f"check {c['name']} range {c['range']}: {c['status']}"
-             + (f" ({c['detail']})" if "detail" in c else "") for c in checks]
-    return _lines_text(lines + [f"result: {'pass' if ok else 'fail'}"])
+def _verify_plain(out: TextIO, cfg: RunConfig, checks: list[dict], values: Sequence[int],
+                  ok: bool) -> None:
+    for c in checks:
+        print(f"check {c['name']} range {c['range']}: {c['status']}"
+              + (f" ({c['detail']})" if "detail" in c else ""), file=out)
+    print(f"result: {'pass' if ok else 'fail'}", file=out)
 
 
 VERIFY_FORMATS = {
     "plain": _verify_plain,
-    "csv": lambda cfg, checks, values, ok: _csv_text(
-        [["check", "range", "status"]]
-        + [[c["name"], c["range"], c["status"]] for c in checks]
+    "csv": lambda out, cfg, checks, values, ok: _write_csv(
+        out, [["check", "range", "status", "detail"]]
+        + [[c["name"], c["range"], c["status"], c.get("detail", "")] for c in checks]
     ),
-    "json": lambda cfg, checks, values, ok: _json_text(cfg.limit, values, "all", checks),
+    "json": lambda out, cfg, checks, values, ok: _write_json(
+        out, cfg.limit, values, "all", checks),
 }
 
 
@@ -353,14 +349,15 @@ def cmd_verify(cfg: RunConfig, _args: argparse.Namespace) -> int:
 def _listing_formats(header: list[str], method: str, line: Callable, row: Callable,
                      obj: Callable) -> dict:
     """The renderers of a listing: one line per item, then `count N`; a csv header, then
-    one row per item; or JSON with a count. Each takes (cfg, n, items, count) and reads
-    items, an iterator of count items, once."""
+    one row per item; or JSON with a count. Each takes (out, cfg, n, items, count) and
+    reads items, an iterator of count items, once."""
     return {
-        "plain": lambda cfg, n, items, count: _lines_text(
-            itertools.chain(map(line, items), [f"count {count}"])),
-        "csv": lambda cfg, n, items, count: _csv_text(itertools.chain([header], map(row, items))),
-        "json": lambda cfg, n, items, count: _json_text(
-            n, list(map(obj, items)), method, [], count=count),
+        "plain": lambda out, cfg, n, items, count: out.writelines(
+            f"{text}\n" for text in itertools.chain(map(line, items), [f"count {count}"])),
+        "csv": lambda out, cfg, n, items, count: _write_csv(
+            out, itertools.chain([header], map(row, items))),
+        "json": lambda out, cfg, n, items, count: _write_json(
+            out, n, list(map(obj, items)), method, [], count=count),
     }
 
 
@@ -388,19 +385,19 @@ def cmd_decorations(cfg: RunConfig, args: argparse.Namespace) -> int:
     return _emit(cfg, DECORATION_FORMATS, r, iter(words), len(words))
 
 
-def _bivariate_csv(cfg: RunConfig, rows: tuple[tuple[int, ...], ...]) -> str:
+def _bivariate_csv(out: TextIO, cfg: RunConfig, rows: tuple[tuple[int, ...], ...]) -> None:
     width = max(len(row) for row in rows)
     header = ["n"] + [f"m={m}" for m in range(width)]
     body = ([n, *row] + [0] * (width - len(row)) for n, row in enumerate(rows))
-    return _csv_text(itertools.chain([header], body))
+    _write_csv(out, itertools.chain([header], body))
 
 
 BIVARIATE_FORMATS = {
-    "plain": lambda cfg, rows: "".join(
+    "plain": lambda out, cfg, rows: out.writelines(
         f"{n}: " + " ".join(str(c) for c in row) + "\n" for n, row in enumerate(rows)
     ),
     "csv": _bivariate_csv,
-    "json": lambda cfg, rows: _json_text(cfg.limit, rows, "recurrence", []),
+    "json": lambda out, cfg, rows: _write_json(out, cfg.limit, rows, "recurrence", []),
 }
 
 

@@ -584,7 +584,7 @@ def printed_rows(fmt, out):
 
 
 class TestRendering:
-    """Rows reach the renderers as generators, and JSON is joined from batches of
+    """Rows reach the renderers as generators, and JSON is written in batches of
     encoder pieces; the output is what json.dumps and whole row lists gave."""
 
     @pytest.mark.parametrize("fmt", cli.DECORATION_FORMATS)
@@ -617,14 +617,16 @@ class TestRendering:
     def test_json_text_is_json_dumps(self, doc):
         if doc["n"] == 16:  # several batches
             assert sum(1 for _ in json.JSONEncoder(indent=2).iterencode(doc)) > 3 * cli._JSON_BATCH
-        assert cli._json_text(**doc) == json.dumps(doc, indent=2) + "\n"
+        cli._write_json(out := io.StringIO(), **doc)
+        assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
 
     @pytest.mark.parametrize("pieces", [cli._JSON_BATCH - 1, cli._JSON_BATCH,
                                         cli._JSON_BATCH + 1, 3 * cli._JSON_BATCH])
     def test_json_text_at_batch_boundaries(self, pieces):
         doc = {"n": 0, "values": [0] * (pieces - 20), "method": "m", "checks": []}
         assert sum(1 for _ in json.JSONEncoder(indent=2).iterencode(doc)) == pieces
-        assert cli._json_text(**doc) == json.dumps(doc, indent=2) + "\n"
+        cli._write_json(out := io.StringIO(), **doc)
+        assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
 
     @pytest.mark.parametrize("argv", [["decorations", "16", "--format", "json"],
                                       ["list", "--limit", "14", "--format", "json"]])
@@ -723,6 +725,48 @@ class TestConfigPlumbing:
         assert link.is_symlink() and target.read_text() == "1 2 4 7 12 19\n"
         assert stat.S_IMODE(fresh.stat().st_mode) == 0o644
         assert sorted(tmp_path.iterdir()) == [link, fresh, target]
+
+    def test_output_keeps_a_file_it_did_not_create(self, capsys, tmp_path):
+        # a file already at the temporary file's name is not the run's to overwrite or remove
+        target, sentinel = tmp_path / "out.txt", tmp_path / f"out.txt.{os.getpid()}.tmp"
+        sentinel.write_text("not the CLI's\n")
+        code, out, err = run(capsys, "seq", "--limit", "3", "--output", str(target))
+        assert sentinel.read_text() == "not the CLI's\n"
+        assert code == 2 and out == "" and not target.exists()
+        assert err.startswith("error: cannot write ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("sink", [
+        "stdout", "file", "new file",
+        pytest.param("symlink", marks=pytest.mark.skipif(not hasattr(os, "symlink"),
+                                                         reason="needs os.symlink")),
+    ])
+    def test_a_failed_render_writes_nothing(self, capsys, monkeypatch, tmp_path, sink):
+        def half_then_fail(out, cfg, values, checks):
+            out.write("1 2 4")
+            raise MemoryError
+
+        monkeypatch.setitem(cli.SEQ_FORMATS, "plain", half_then_fail)
+        target, link = tmp_path / "out.txt", tmp_path / "link"
+        if sink in ("file", "symlink"):
+            target.write_text("older contents\n")
+        if sink == "symlink":
+            link.symlink_to(target)
+        argv = [] if sink == "stdout" else ["--output", str(link if sink == "symlink" else target)]
+        before = sorted(tmp_path.iterdir())
+        assert run(capsys, "seq", "--limit", "5", *argv) == (2, "", "error: out of memory\n")
+        assert sorted(tmp_path.iterdir()) == before  # no new target, no *.tmp beside it
+        if sink in ("file", "symlink"):
+            assert target.read_bytes() == b"older contents\n"
+
+    @pytest.mark.parametrize("argv", [
+        [command, *(["12"] if command == "decorations" else ["--limit", "12"]), "--format", fmt]
+        for command, (_, _, formats, _) in cli.COMMANDS.items() for fmt in formats
+    ], ids=" ".join)
+    def test_output_file_gets_the_stdout_bytes(self, capsys, tmp_path, argv):
+        code, out, _ = run(capsys, *argv)
+        target = tmp_path / "out"
+        assert run(capsys, *argv, "--output", str(target))[:2] == (code, "")
+        assert target.read_bytes() == out.encode()
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_output_pipe_by_dev_fd_path_is_written(self, capsys):
@@ -860,6 +904,22 @@ class TestConfigPlumbing:
         _, first, _ = run(capsys, "verify", "--limit", "15", "--format", "json")
         _, second, _ = run(capsys, "verify", "--limit", "15", "--format", "json")
         assert first == second
+
+    @pytest.mark.parametrize("argv", [["verify", "--limit", "30", "--format", "json"],
+                                      ["decorations", "6", "--format", "json"]], ids=" ".join)
+    def test_same_bytes_under_another_hash_seed(self, argv):
+        # set and dict order vary with the string hash seed; the output must not
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if not k.startswith("BLOCKSEP_")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        outputs = []
+        for seed in ("0", "1"):
+            proc = subprocess.run([sys.executable, "-m", "blocksep.cli", *argv],
+                                  capture_output=True, env=dict(env, PYTHONHASHSEED=seed),
+                                  timeout=120)
+            assert proc.returncode == 0
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -27,7 +27,7 @@ GOLDEN = """
 0 c5cf4ccce2d1d9eadcf6fcf91a8dfd2462825b860e1fc5ce71a7354b09f0f9f2 table --limit 0 --format csv
 0 b0ca93684f223cd1202452af065483ccbffac2740920ed1b724ddc5fa6cef81e table --limit 0 --format json
 0 5601a8faffc83b5a7a9ff4bc58a136a65dd83ae49a2c42dde250533a813cedd0 verify --limit 0 --format plain
-0 fd22a4a0b44e33c039a0a6cbcea204fb48efda0f29710f2db625ca6c83cad753 verify --limit 0 --format csv
+0 87e4cf40be155a0e890f9a9d2f68aa4f7271df9cac119d7acee5f0dad68ae292 verify --limit 0 --format csv
 0 61ef19db0d054cdc57b5608ad39ac14446e52f746413a6146a8797a2b797a54a verify --limit 0 --format json
 0 008904fdbbc6e76b258edcfc185155c29747e2e39857685e0fdbc6c288df3f6c bivariate --limit 0 --format plain
 0 cd047df2d7e3875aed79378b39cdff79acc2f599eb91801548d46d3ac85258f5 bivariate --limit 0 --format csv
@@ -66,7 +66,7 @@ GOLDEN = """
 0 3dd1183ef26040ad76c45047ea8097f80d85587025db20ed4b2a752b699a66d2 table --limit 1 --format csv
 0 5a0e717e1eb23b3fb3cae0117235290f88b2f8d0f43538d8517e7bf3ad56e304 table --limit 1 --format json
 0 b5cac2ef8dffa869e197d60c1063d5ecd0c28316cf465acb7b5a6adf226f2bfe verify --limit 1 --format plain
-0 e6659cb8cbbee1254ce5787b8cc5578ec0b6d734d4ca6af328cb9d323cb3f6a6 verify --limit 1 --format csv
+0 f1f1002061c1ebdc9c8da0b7aae409457732f890bd4aa960f5cafa342de58065 verify --limit 1 --format csv
 0 c67f403697005f089835228083cfd40d49a62cb3cefbb9a088862026f224bb79 verify --limit 1 --format json
 0 965f04adc2f001b9a448e8513f4c1879e14068cc62dcc8668d3cd273db0d5dbd bivariate --limit 1 --format plain
 0 b7f560eb658a65b7060094def420c3c93cd7082552d70880a4493cec13534892 bivariate --limit 1 --format csv
@@ -105,7 +105,7 @@ GOLDEN = """
 0 2fe5040da71d3385492656deca765dfcc467a8776b135f6bda135793c1aee1fb table --limit 12 --format csv
 0 dcced0d82739c5bffb8e3e8dab682fb88130d64805d52dad12c73c4b0a0e69a4 table --limit 12 --format json
 0 9f977c30a1677e32417b7987028522b86c726231069a86fa9bd5dde1ad82a555 verify --limit 12 --format plain
-0 d12a056991fb6f7db59f6a86b5a1d757e15a0f60d245d173539a3c6ea90fdc5f verify --limit 12 --format csv
+0 c9badeca630c5203918263070da48eb2bbf6054e423dbfa99c3f93c94ed0cebf verify --limit 12 --format csv
 0 c0bdcbf2243c6bab504f75be3553d3424835fc44994fbe2a445cb5240b3df95c verify --limit 12 --format json
 0 6ac7cf74fd50e1d3cb29fb613ff1179896aa9b1f75c6485ce3ca84306cc1b1e7 bivariate --limit 12 --format plain
 0 5a5f87b4485a984ed7a07b097faa0e7c4a9571086d9fd0b7816015527d5d6826 bivariate --limit 12 --format csv
@@ -144,7 +144,7 @@ GOLDEN = """
 0 7e25e768977d4665138622f28e9359457809f9db21d52e72a41e7ad24f7f13c0 table --limit 40 --format csv
 0 b6a67e2e13753feeb3729a0c011b6e7fb5710bdd353d81b2b2561ba18f35ee68 table --limit 40 --format json
 0 b077d96b0c1c1aa017878b439e67e87a1086ad4895b0c6342f11356e36adc8c0 verify --limit 40 --format plain
-0 fd414f98649c3b32fa2bc31cfb27673f4860b289219009b9bdd0df8105d58b3c verify --limit 40 --format csv
+0 ab978410cc2bcc8875d4218f839ed13f44172ce4612b33c1cabfec93786afdd4 verify --limit 40 --format csv
 0 3cd1374363115c640be6755fef7870d14a194dca3b2fd642005ca8554f3b8aa0 verify --limit 40 --format json
 0 7186ddd329c62d81512f1ecf8ae501b49d1ef14f184d5ff95d33392c869d2a8d bivariate --limit 40 --format plain
 0 66c221535d0aabe8e0e196a85d07495b0058bbbdb7fb9f2b527458b882003d80 bivariate --limit 40 --format csv
@@ -224,7 +224,7 @@ GOLDEN = """
 # detector's self-test, whose failure output is pinned here
 UNDER_A_FAULT = """
 1 43894e684d5044056ba27fa5f5ef20365bcbdd498fca9e1571fb2abb2ffdbf95 verify --limit 12 --format plain
-1 d8442a21dc70b3ddfdac3c2b0489f77ee8c241c2d6d59905840e7c7c49566b70 verify --limit 12 --format csv
+1 6acb5630fad9b5a13cea1b644bdd8f76bcc5c0ffdca43dbae5e0a1fead7405eb verify --limit 12 --format csv
 1 d10b3d7c72a31a5e1cb065b4a2f7f81faab8f9aa252c29afd4ad2fbde5cb6fcb verify --limit 12 --format json
 1 44edfa77697c01e93ed39f9f9c5503fbc3a4e0a150bb59976aa3565730899d69 verify --limit 0
 1 dd4af2da24337ff552ac30a5686467d2557ca6a120eb39718d96ebfcc1513609 verify --limit 5
