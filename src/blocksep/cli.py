@@ -4,7 +4,7 @@ Subcommands: seq, table, verify, decorations, bivariate, list. Every flag
 has an environment-variable twin prefixed BLOCKSEP_ (flags win). Exit
 status is 0 only when every requested computation and check succeeded;
 semantic usage problems and failures to write --output or stdout exit 2,
-failed verifications and a route's failed decode check exit 1.
+failed verifications, disagreeing routes and a route's failed decode check exit 1.
 """
 
 from __future__ import annotations
@@ -49,6 +49,10 @@ T = TypeVar("T")
 
 class UsageError(Exception):
     pass
+
+
+class Disagreement(Exception):
+    """Two routes gave different values; main reports it as a failed check."""
 
 
 @dataclass(frozen=True)
@@ -209,8 +213,8 @@ SEQ_FORMATS = {
 }
 
 
-def _checked_sequence(cfg: RunConfig) -> tuple[Sequence[int], list[dict]] | None:
-    """b(0..limit) by cfg.method and its checks; None once `all` reports a disagreement."""
+def _checked_sequence(cfg: RunConfig) -> tuple[Sequence[int], list[dict]]:
+    """b(0..limit) by cfg.method and its checks; Disagreement if `all` finds one."""
     if cfg.method != "all":
         return _sequence(cfg, cfg.method), []
     methods = list(SERIES_METHODS)
@@ -221,16 +225,13 @@ def _checked_sequence(cfg: RunConfig) -> tuple[Sequence[int], list[dict]] | None
                          f"0..{cfg.cap(ORACLE_WINDOW)}; raise --cap-enum to include it\n")
     results = {m: _sequence(cfg, m) for m in methods}
     if (n := _first_difference(results, cfg.limit)) is not None:
-        sys.stderr.write(f"method disagreement at n={n}: {_at(results, n)}\n")
-        return None
+        raise Disagreement(f"method disagreement at n={n}: {_at(results, n)}")
     return results["matrix"], [{"name": "cross_method_equality", "range": f"0..{cfg.limit}",
                                 "methods": sorted(results), "status": "pass"}]
 
 
 def cmd_seq(cfg: RunConfig, _args: argparse.Namespace) -> int:
-    if (found := _checked_sequence(cfg)) is None:
-        return EXIT_CHECK_FAILED
-    return _emit(cfg, SEQ_FORMATS, *found)
+    return _emit(cfg, SEQ_FORMATS, *_checked_sequence(cfg))
 
 
 def _table_plain(out: TextIO, cfg: RunConfig, rows: dict[str, Sequence[int]]) -> None:
@@ -253,10 +254,9 @@ TABLE_FORMATS = {
 
 
 def cmd_table(cfg: RunConfig, _args: argparse.Namespace) -> int:
-    if (found := _checked_sequence(cfg)) is None:
-        return EXIT_CHECK_FAILED
+    values, _checks = _checked_sequence(cfg)  # a disagreement fails before p and p~ are divided
     rows = {"p": list(euler_inverse(cfg.limit).coeffs),
-            "pbar": overpartition_numbers(cfg.limit), "b": found[0]}
+            "pbar": overpartition_numbers(cfg.limit), "b": values}
     return _emit(cfg, TABLE_FORMATS, rows)
 
 
@@ -349,15 +349,14 @@ def cmd_verify(cfg: RunConfig, _args: argparse.Namespace) -> int:
 def _listing_formats(header: list[str], method: str, line: Callable, row: Callable,
                      obj: Callable) -> dict:
     """The renderers of a listing: one line per item, then `count N`; a csv header, then
-    one row per item; or JSON with a count. Each takes (out, cfg, n, items, count) and
-    reads items, an iterator of count items, once."""
+    one row per item; or JSON with a count. Each takes (out, cfg, n, items), items a list."""
     return {
-        "plain": lambda out, cfg, n, items, count: out.writelines(
-            f"{text}\n" for text in itertools.chain(map(line, items), [f"count {count}"])),
-        "csv": lambda out, cfg, n, items, count: _write_csv(
+        "plain": lambda out, cfg, n, items: out.writelines(
+            f"{text}\n" for text in itertools.chain(map(line, items), [f"count {len(items)}"])),
+        "csv": lambda out, cfg, n, items: _write_csv(
             out, itertools.chain([header], map(row, items))),
-        "json": lambda out, cfg, n, items, count: _write_json(
-            out, n, list(map(obj, items)), method, [], count=count),
+        "json": lambda out, cfg, n, items: _write_json(
+            out, n, list(map(obj, items)), method, [], count=len(items)),
     }
 
 
@@ -382,7 +381,7 @@ DECORATION_FORMATS = _listing_formats(
 def cmd_decorations(cfg: RunConfig, args: argparse.Namespace) -> int:
     r = _checked("r", _count, args.r)
     words = enumerate_decorations(r, cap=cfg.cap(fibonacci.DEFAULT_ENUMERATION_CAP))
-    return _emit(cfg, DECORATION_FORMATS, r, iter(words), len(words))
+    return _emit(cfg, DECORATION_FORMATS, r, words)
 
 
 def _bivariate_csv(out: TextIO, cfg: RunConfig, rows: tuple[tuple[int, ...], ...]) -> None:
@@ -406,16 +405,15 @@ def cmd_bivariate(cfg: RunConfig, _args: argparse.Namespace) -> int:
     top = min(cfg.limit, ORACLE_WINDOW)
     rows, e_rows = recurrence.euler_factorized_triangle(cfg.limit), symfun.bivariate_gf(top)
     if (n := _first_difference({"recurrence": rows, "symmetric": e_rows}, top)) is not None:
-        sys.stderr.write(f"triangle disagreement at n={n}: "
-                         f"recurrence {rows[n]} != symmetric {e_rows[n]}\n")
-        return EXIT_CHECK_FAILED
+        raise Disagreement(f"triangle disagreement at n={n}: "
+                           f"recurrence {rows[n]} != symmetric {e_rows[n]}")
     return _emit(cfg, BIVARIATE_FORMATS, rows)
 
 
 LIST_FORMATS = _listing_formats(
     ["partition", "decoration"], "bruteforce",
     line=str,
-    row=lambda d: [str(d), str(d.decoration)],
+    row=lambda d: [str(d), str(d.decoration) or "-"],
     obj=lambda d: {"blocks": [{"part": part, "multiplicity": mult, "overlined": bool(bit)}
                               for (part, mult), bit in zip(d.skeleton.blocks, d.decoration.bits)],
                    "rendered": str(d)},
@@ -425,7 +423,7 @@ LIST_FORMATS = _listing_formats(
 def cmd_list(cfg: RunConfig, _args: argparse.Namespace) -> int:
     cap = cfg.cap(bruteforce.DEFAULT_LISTING_CAP)
     items = bruteforce.list_block_separated(cfg.limit, cap=cap)
-    return _emit(cfg, LIST_FORMATS, cfg.limit, iter(items), len(items))
+    return _emit(cfg, LIST_FORMATS, cfg.limit, items)
 
 
 # name -> (help, handler, renderers, the settings it reads, in the order they resolve)
@@ -479,7 +477,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, MemoryError) as exc:  # MemoryError: too big a limit
         sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
         return EXIT_USAGE
-    except SlotOverflowError as exc:
+    except (SlotOverflowError, Disagreement) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CHECK_FAILED
 

@@ -52,10 +52,6 @@ class StatePair:
                 f"state weights carry mixed orders {self.f0.order} and {self.f1.order}"
             )
 
-    def total(self) -> TruncatedSeries:
-        """Sum over both final states."""
-        return self.f0 + self.f1
-
 
 def normalized_recurrence(order: int) -> StatePair:
     """The normalized pair (1, 0) * prod_{n=1..order} (I + q^n G), by Euler's identity.

@@ -3,9 +3,10 @@
 `transfer_matrix` and `normalized_matrix` are the paper's 2x2 matrices
 over series, as ((e00, e01), (e10, e11)) indexed (from state, to state);
 `matrix_fold` multiplies the row vector (1, 0) through them one part size
-at a time, the literal product the routes are compared against. The
-constructors `zero`, `one`, `qpow`, `s_block` and `geometric_inverse`
-build their entries coefficient by coefficient.
+at a time, the literal product the routes are compared against, and
+`pair_total` sums its two states. The constructors `zero`, `one`, `qpow`,
+`s_block` and `geometric_inverse` build their entries coefficient by
+coefficient.
 
 Each fold multiplies an infinite product out factor by factor, so it shares no
 code with the pentagonal recurrence or with the in-place list loops of the
@@ -72,6 +73,11 @@ def normalized_matrix(j, order):
 def start_pair(order):
     """(1, 0): no blocks yet, vacuously in the plain state."""
     return StatePair(one(order), zero(order))
+
+
+def pair_total(v):
+    """The sum over both final states of the pair v: f0 + f1."""
+    return v.f0 + v.f1
 
 
 def apply_matrix(v, m):

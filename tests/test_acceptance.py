@@ -20,8 +20,8 @@ from blocksep.qseries import TruncatedSeries, euler_inverse
 from blocksep.recurrence import euler_factorized_gf
 from blocksep.symfun import bivariate_gf, fibonacci_weighted_gf, weighted_gf
 from blocksep.transfer import matrix_product_gf
-from series_folds import (apply_matrix, matrix_fold, overpartition_product, start_pair,
-                          transfer_matrix)
+from series_folds import (apply_matrix, matrix_fold, overpartition_product, pair_total,
+                          start_pair, transfer_matrix)
 
 P_ROW = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
 PBAR_ROW = (1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232)
@@ -74,7 +74,7 @@ def test_criterion_3_stepwise_intermediates():
         v = apply_matrix(v, transfer_matrix(3, 3))
         assert v.f0 == TruncatedSeries((1, 1, 2, 4))
         assert v.f1 == TruncatedSeries((0, 1, 2, 3))
-        assert v.total() == TruncatedSeries((1, 2, 4, 7))
+        assert pair_total(v) == TruncatedSeries((1, 2, 4, 7))
 
 
 def test_criterion_4_cross_method_at_300():
@@ -156,4 +156,4 @@ def test_criterion_8_sandwich_to_300():
 def test_criterion_9_truncation_cutoff_soundness():
     with criterion(9, "scanning sizes to 2N changes nothing at order N = 50"):
         n = 50
-        assert matrix_fold(n, range(1, 2 * n + 1)).total() == matrix_product_gf(n)
+        assert pair_total(matrix_fold(n, range(1, 2 * n + 1))) == matrix_product_gf(n)

@@ -73,7 +73,7 @@ class TestSeq:
             replaced(symmetric(order).coeffs, 3, 8)))
         code, out, err = run(capsys, "seq", "--limit", "10", "--method", "all")
         assert code == 1 and out == ""
-        assert err.splitlines() == ["method disagreement at n=3: {'matrix': 7, "
+        assert err.splitlines() == ["error: method disagreement at n=3: {'matrix': 7, "
                                     "'recurrence': 7, 'symmetric': 8, 'bruteforce': 7}"]
 
     def test_each_method_same_output(self, capsys):
@@ -178,7 +178,7 @@ class TestTable:
             replaced(symmetric(order).coeffs, 3, 8)))
         code, out, err = run(capsys, "table", "--limit", "10", "--method", "all")
         assert code == 1 and out == ""
-        assert err.splitlines() == ["method disagreement at n=3: {'matrix': 7, "
+        assert err.splitlines() == ["error: method disagreement at n=3: {'matrix': 7, "
                                     "'recurrence': 7, 'symmetric': 8, 'bruteforce': 7}"]
 
 
@@ -466,7 +466,8 @@ class TestBivariate:
         # one more object at n = 9, m = 1 in the recurrence triangle only
         edit_result(monkeypatch, recurrence, "euler_factorized_triangle",
                     lambda rows, order: replaced(rows, 9, (30, 68, 10)))
-        err = "triangle disagreement at n=9: recurrence (30, 68, 10) != symmetric (30, 67, 10)\n"
+        err = ("error: triangle disagreement at n=9: "
+               "recurrence (30, 68, 10) != symmetric (30, 67, 10)\n")
         assert run(capsys, "bivariate", "--limit", "40") == (1, "", err)
 
     def test_window_check_reads_the_e_r_triangle(self, capsys, monkeypatch):
@@ -502,6 +503,11 @@ class TestList:
     def test_n0_empty_partition(self, capsys):
         code, out, _ = run(capsys, "list", "--limit", "0")
         assert out.splitlines() == ["(empty)", "count 1"]
+
+    def test_n0_csv_prints_the_empty_decoration_as_a_dash(self, capsys):
+        # as decorations 0 does: the empty word prints as "-" in plain text and csv
+        assert run(capsys, "list", "--limit", "0", "--format", "csv") == (
+            0, "partition,decoration\n(empty),-\n", "")
 
     def test_n1(self, capsys):
         code, out, _ = run(capsys, "list", "--limit", "1")
@@ -584,7 +590,7 @@ def printed_rows(fmt, out):
 
 
 class TestRendering:
-    """Rows reach the renderers as generators, and JSON is written in batches of
+    """Rows reach the renderers as lists, and JSON is written in batches of
     encoder pieces; the output is what json.dumps and whole row lists gave."""
 
     @pytest.mark.parametrize("fmt", cli.DECORATION_FORMATS)

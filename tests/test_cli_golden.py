@@ -33,7 +33,7 @@ GOLDEN = """
 0 cd047df2d7e3875aed79378b39cdff79acc2f599eb91801548d46d3ac85258f5 bivariate --limit 0 --format csv
 0 dc115d747dd5e317b4be0561e07b1685e8ca536a2dc85d2596ef90a811402845 bivariate --limit 0 --format json
 0 6201e55a7eb1aa6c55635588585638ec7cd4089619a080411ef31a73481acab5 list --limit 0 --format plain
-0 0d53cc6c191feb3d45eff7901838859eae6008f2ad9589ba31890d89d22760a7 list --limit 0 --format csv
+0 74b0d2916965c2636102eff17dba2b73d6c3307d50db3f912af97595789cad2d list --limit 0 --format csv
 0 9832e66d5fb20bde9aaf2d45274fb37e035b7143008d1262b6bd483e3fa39649 list --limit 0 --format json
 0 3280085e9615211d5bda496aa8e8364ba785aa6e0f31e47f53a04353a8f12d50 decorations 0 --format plain
 0 4f6229d2a0f3c238fb8206520b3932b60f0e27a07aa0b1371e9d4619bda2dd14 decorations 0 --format csv

@@ -8,7 +8,8 @@ from blocksep.symfun import bivariate_gf
 from blocksep.transfer import matrix_product_gf
 from series_folds import (apply_matrix, bivariate_columns, euler_forward_pair,
                           iter_normalized_pairs, matrix_fold, normalized_matrix,
-                          normalized_scan_pair, one, start_pair, transfer_matrix, zero)
+                          normalized_scan_pair, one, pair_total, start_pair, transfer_matrix,
+                          zero)
 
 
 def series(*coeffs):
@@ -115,10 +116,10 @@ class TestNormalizedRecurrence:
         # per-step reference: after step n, coefficients up to q^n of the total never change
         order = 50
         pairs = list(iter_normalized_pairs(order))
-        final = pairs[-1].total()
+        final = pair_total(pairs[-1])
         for m in range(order + 1):
             for n in range(m, order + 1):
-                assert pairs[n].total().coeffs[:m + 1] == final.coeffs[:m + 1]
+                assert pair_total(pairs[n]).coeffs[:m + 1] == final.coeffs[:m + 1]
 
 
 class TestFactorExtraction:
@@ -151,7 +152,7 @@ class TestEulerFactorizedGF:
         # the route folds only f0 + f1, inside out; the forward pair is its reference.
         # (a, b) <- (t b, a - b) and c_k = a_k + t b_k give F(2-k) at t = 1
         assert recurrence._normalized_total(order) == recurrence._normalized_total(order, 1) == \
-            list(euler_forward_pair(order).total().coeffs)
+            list(pair_total(euler_forward_pair(order)).coeffs)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

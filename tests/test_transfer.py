@@ -6,8 +6,8 @@ from blocksep.qseries import TruncatedSeries, euler_inverse
 from blocksep.recurrence import StatePair, euler_factorized_gf
 from blocksep.transfer import matrix_product_gf
 from block_forms import count_overpartitions
-from series_folds import (apply_matrix, matrix_fold, normalized_matrix, one, qpow, s_block,
-                          start_pair, transfer_matrix, zero)
+from series_folds import (apply_matrix, matrix_fold, normalized_matrix, one, pair_total, qpow,
+                          s_block, start_pair, transfer_matrix, zero)
 
 
 def series(*coeffs):
@@ -63,7 +63,7 @@ class TestApplyMatrix:
         v = matrix_fold(3, [1, 2, 3])
         assert v.f0 == series(1, 1, 2, 4)
         assert v.f1 == series(0, 1, 2, 3)
-        assert v.total() == series(1, 2, 4, 7)
+        assert pair_total(v) == series(1, 2, 4, 7)
 
     def test_rejects_order_mismatch(self):
         # the series product refuses to mix orders
@@ -93,7 +93,7 @@ class TestMatrixProductGF:
         # size j > n starts at q^j, so one fold at the top order holds the
         # fold at every lower order n as its first n + 1 coefficients
         top = 120
-        reference = matrix_fold(top, range(1, top + 1)).total().coeffs
+        reference = pair_total(matrix_fold(top, range(1, top + 1))).coeffs
         for n in range(top + 1):
             assert matrix_product_gf(n).coeffs == reference[:n + 1], n
 
@@ -101,7 +101,7 @@ class TestMatrixProductGF:
         n = 30
         js = list(range(1, n + 1))
         random.Random(13).shuffle(js)
-        assert matrix_fold(n, js).total() == matrix_product_gf(n)
+        assert pair_total(matrix_fold(n, js)) == matrix_product_gf(n)
 
     @pytest.mark.parametrize("n", [20, 21])
     def test_tail_sizes_fold_to_one_step(self, n):
@@ -150,7 +150,7 @@ class TestMatrixProductGF:
         v = swapped
         for j in range(1, n + 1):
             v = apply_matrix(v, transfer_matrix(j, n))
-        assert v.total() != matrix_product_gf(n)
+        assert pair_total(v) != matrix_product_gf(n)
 
     def test_monotone_and_sandwiched(self):
         n = 25
