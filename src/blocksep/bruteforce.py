@@ -13,7 +13,8 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from itertools import repeat
 
-from .fibonacci import DecorationWord, _check_cap, _Value, decoration_count, enumerate_decorations
+from .fibonacci import DecorationWord, _check_cap, decoration_count, enumerate_decorations
+from .qseries import _Value
 
 DEFAULT_WEIGHT_CAP = 60
 DEFAULT_LISTING_CAP = 20

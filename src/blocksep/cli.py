@@ -20,8 +20,7 @@ import os
 import shutil
 import sys
 from collections.abc import Callable, Collection, Iterable, Sequence
-from dataclasses import dataclass
-from typing import TextIO, TypeVar
+from typing import NamedTuple, TextIO, TypeVar
 
 from . import bruteforce, fibonacci, recurrence, symfun, transfer
 from .fibonacci import (CapExceededError, DecorationWord, enumerate_decorations,
@@ -55,8 +54,7 @@ class Disagreement(Exception):
     """Two routes gave different values; main reports it as a failed check."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """The resolved settings; one a command does not read keeps its default."""
 
     limit: int = 10

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from enum import Enum
 
+from .qseries import _Value
+
 #: Fibonacci convention used throughout: F_1 = F_2 = 1 (and F_0 = 0).
 #: With it the number of legal decorations of r blocks is F_{r+2}.
 
@@ -28,37 +30,6 @@ def _check_cap(what: str, name: str, size: int, cap: int) -> None:
     if size > cap:
         raise CapExceededError(f"{what} for {name}={size} exceeds cap {cap}; "
                                "raise the cap explicitly")
-
-
-class _Value:
-    """An immutable value: compared, hashed, shown and pickled by its __slots__, which
-    __init__ sets once through the slots' own setters, _setters, past __setattr__."""
-
-    __slots__ = ()
-
-    def __init_subclass__(cls) -> None:
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"cannot change {name!r}: {type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._fields()
 
 
 class DecorationWord(_Value):

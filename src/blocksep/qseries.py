@@ -6,20 +6,50 @@ p~(n) and the recurrence route's Euler factor come from one loop that
 divides a list by a sparse series, its terms grouped by sign under one
 scale. A series is kept modulo q^(order+1); coefficients are Python ints,
 so all arithmetic is exact at any size. The packed-row decode that both
-triangles of b(n, m) share lives here too, so no route imports another.
+triangles of b(n, m) share lives here too, so no route imports another,
+and so does `_Value`, the base of every value type in the package.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import count
 from math import isqrt
 from operator import add
 
 
-@dataclass(frozen=True, slots=True)
-class TruncatedSeries:
+class _Value:
+    """An immutable value: compared, hashed, shown and pickled by its __slots__, which
+    __init__ sets once through the slots' own setters, _setters, past __setattr__."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot change {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class TruncatedSeries(_Value):
     """A formal power series truncated at a fixed order.
 
     Instances are immutable and hashable; every operation returns a new
@@ -28,16 +58,16 @@ class TruncatedSeries:
     silent truncation mismatches are the classic q-series bug.
     """
 
-    coeffs: tuple[int, ...]  # q^0 .. q^N; any iterable of ints is accepted
+    __slots__ = ("coeffs",)  # q^0 .. q^N as a tuple of ints
 
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
+    def __init__(self, coeffs: Iterable[int]) -> None:
+        coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("need at least the q^0 coefficient")
         for c in coeffs:
             if type(c) is not int:  # bool too: True would pass as 1
                 raise TypeError(f"coefficients must be int, got {type(c).__name__}")
-        object.__setattr__(self, "coeffs", coeffs)
+        self._setters[0](self, coeffs)
 
     @property
     def order(self) -> int:

@@ -32,25 +32,27 @@ plain ints and each coefficient packs one row of the triangle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 
-from .qseries import (TruncatedSeries, _decode_rows, _pentagonal, _sparse_divide, euler_inverse,
-                      max_block_count, overpartition_numbers)
+from . import qseries
+from .qseries import (TruncatedSeries, _decode_rows, _pentagonal, _sparse_divide, _Value,
+                      euler_inverse, max_block_count, overpartition_numbers)
 
 
-@dataclass(frozen=True)
-class StatePair:
+class StatePair(_Value):
     """Row vector of state weights: f0 ends plain, f1 ends overlined."""
 
-    f0: TruncatedSeries
-    f1: TruncatedSeries
+    __slots__ = ("f0", "f1")
 
-    def __post_init__(self):
-        if self.f0.order != self.f1.order:
-            raise ValueError(
-                f"state weights carry mixed orders {self.f0.order} and {self.f1.order}"
-            )
+    def __init__(self, f0: TruncatedSeries, f1: TruncatedSeries) -> None:
+        for f in (f0, f1):  # the class itself: the name TruncatedSeries here may be rebound
+            if not isinstance(f, qseries.TruncatedSeries):
+                raise TypeError(f"state weights must be TruncatedSeries, got {type(f).__name__}")
+        if f0.order != f1.order:
+            raise ValueError(f"state weights carry mixed orders {f0.order} and {f1.order}")
+        set_f0, set_f1 = self._setters
+        set_f0(self, f0)
+        set_f1(self, f1)
 
 
 def normalized_recurrence(order: int) -> StatePair:

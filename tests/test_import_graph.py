@@ -3,10 +3,14 @@
 Each route module may read the shared series base `qseries` and the
 Fibonacci combinatorics, and nothing else of the package; the shared
 decode helpers live in `qseries` and are re-exported by `symfun`. No module
-keeps an import it does not use.
+keeps an import it does not use, and starting the CLI imports none of the
+introspection modules that `dataclasses` brings in.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +67,18 @@ def unused_imports(module: str) -> set[str]:
 @pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")))
 def test_no_unused_imports(module):
     assert unused_imports(module) == set()
+
+
+# dataclasses imports inspect, which imports ast, dis and tokenize
+INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def test_cli_start_up_imports_no_introspection_modules():
+    # what a fresh interpreter adds by importing the CLI and building its parser,
+    # the start-up every command pays; what site preloaded before does not count
+    code = ("import sys; before = set(sys.modules); import blocksep.cli as c; c.build_parser(); "
+            "print(*sorted(set(sys.modules) - before))")
+    added = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True, env=dict(os.environ, PYTHONPATH=str(SRC.parent))).stdout
+    assert "blocksep.cli" in added.split()
+    assert INTROSPECTION.isdisjoint(added.split())

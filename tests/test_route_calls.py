@@ -50,18 +50,18 @@ COMMON = {"qseries._pentagonal": DIVISION, "qseries._sparse_divide": DIVISION,
 
 # (route, route) -> {function both run: why it may be shared}
 ALLOWED = {
-    ("matrix", "recurrence"): {"qseries.__post_init__": CONSTRUCTOR},
-    ("matrix", "symmetric"): {"qseries.__post_init__": CONSTRUCTOR},
+    ("matrix", "recurrence"): {"qseries.__init__": CONSTRUCTOR},
+    ("matrix", "symmetric"): {"qseries.__init__": CONSTRUCTOR},
     ("matrix", "kronecker_triangle"): {},
-    ("matrix", "e_r_triangle"): {"qseries.__post_init__": CONSTRUCTOR},
-    ("recurrence", "symmetric"): {"qseries.__post_init__": CONSTRUCTOR, **COMMON},
+    ("matrix", "e_r_triangle"): {"qseries.__init__": CONSTRUCTOR},
+    ("recurrence", "symmetric"): {"qseries.__init__": CONSTRUCTOR, **COMMON},
     ("recurrence", "kronecker_triangle"): {
         **COMMON, "recurrence._euler_sum": RECURRENCE_FOLD,
         "recurrence._g_powers": RECURRENCE_FOLD, "recurrence._normalized_total": RECURRENCE_FOLD},
-    ("recurrence", "e_r_triangle"): {"qseries.__post_init__": CONSTRUCTOR, **COMMON},
+    ("recurrence", "e_r_triangle"): {"qseries.__init__": CONSTRUCTOR, **COMMON},
     ("symmetric", "kronecker_triangle"): COMMON,
     ("symmetric", "e_r_triangle"): {
-        "qseries.__post_init__": CONSTRUCTOR, **COMMON,
+        "qseries.__init__": CONSTRUCTOR, **COMMON,
         "qseries.partition_numbers": E_R_TABLE, "symfun._row_dots": E_R_TABLE,
         "symfun.elementary_symmetric_series": E_R_TABLE},
     ("kronecker_triangle", "e_r_triangle"): {

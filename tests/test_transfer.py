@@ -74,6 +74,13 @@ class TestApplyMatrix:
         with pytest.raises(ValueError, match="mixed orders"):
             StatePair(one(2), zero(3))
 
+    @pytest.mark.parametrize("bad, shown", [((1, 2), "tuple"), (None, "NoneType"),
+                                            ([1, 2], "list")], ids=["tuple", "None", "list"])
+    def test_state_pair_rejects_a_field_that_is_not_a_series(self, bad, shown):
+        for args in ((one(2), bad), (bad, one(2))):
+            with pytest.raises(TypeError, match=f"must be TruncatedSeries, got {shown}$"):
+                StatePair(*args)
+
 
 class TestMatrixProductGF:
     def test_order3(self):
