@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from itertools import accumulate, repeat
 
-from . import qseries
 from .qseries import (TruncatedSeries, _decode_rows, _pentagonal, _sparse_divide, _Value,
                       euler_inverse, max_block_count, overpartition_numbers)
 
@@ -45,8 +44,8 @@ class StatePair(_Value):
     __slots__ = ("f0", "f1")
 
     def __init__(self, f0: TruncatedSeries, f1: TruncatedSeries) -> None:
-        for f in (f0, f1):  # the class itself: the name TruncatedSeries here may be rebound
-            if not isinstance(f, qseries.TruncatedSeries):
+        for f in (f0, f1):
+            if not isinstance(f, TruncatedSeries):
                 raise TypeError(f"state weights must be TruncatedSeries, got {type(f).__name__}")
         if f0.order != f1.order:
             raise ValueError(f"state weights carry mixed orders {f0.order} and {f1.order}")

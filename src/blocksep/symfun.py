@@ -22,20 +22,24 @@ def elementary_symmetric_series(order: int) -> list[TruncatedSeries]:
     All ranks are packed into one int per power of q: ys[k] holds e_r[k] in
     the w-bit slot r. Below q^(order+1), S_j = q^j + q^(2j) + q^(3j) for
     j > m = order // 4 and any four such sizes sum past the order, so those
-    sizes give the start state ys = 1 + y*e1 + y^2*e2 + y^3*e3, with the
-    closed forms of e1, e2 and e3 that `transfer.matrix_product_gf` states
-    (this loop computes its own). Each size j = m..1 then multiplies by
-    1 + y*S_j: t[k] = ys_old[k-j] + t[k-j] is ys_old*S_j, added one rank up
-    by ys[k] += t[k] << w. Before pass j, ys counts skeletons with all parts
-    above j, so ys[1..j] are zero: the pass sets ys[j] = y*q^j and works
-    from k = 2j on. Slot r of ys[k] (of t[k]) counts the r-block
-    ((r+1)-block) skeletons of weight k with all parts >= j, a subset of
-    those e_r[k] (e_{r+1}[k]) counts, which are partitions of k: every slot
-    stays <= p(order), so w is that bound's bit length plus a spare bit and
-    no slot carries into the next. Decode checks each packed int once
-    against the spare bit of every rank and the bits above the top rank,
-    raising SlotOverflowError if any is set, then unpacks one rank at a
-    time. Every e_r with r > top, r(r+1)/2 > order, is zero and not returned.
+    sizes give the start state ys = 1 + y*e1 + y^2*e2 + y^3*e3, with e_r of
+    their S_j in closed form: [q^k] e1 counts the sizes j > m with j, 2j or
+    3j equal to k; e2 the pairs m < a < b with a + b, 2a + b or a + 2b equal
+    to k (the last two need a < k/3, the last also a = k mod 2); e3 the
+    triples m < a < b < c with a + b + c = k, that is the partitions of
+    x = k - 3m - 3 into three parts, round(x^2/12). Each size j = m..1 then
+    multiplies by 1 + y*S_j: t[k] = ys_old[k-j] + t[k-j] is ys_old*S_j,
+    added one rank up by ys[k] += t[k] << w. Before pass j, ys counts
+    skeletons with all parts above j, so ys[1..j] are zero: the pass sets
+    ys[j] = y*q^j and works from k = 2j on. Slot r of ys[k] (of t[k])
+    counts the r-block ((r+1)-block) skeletons of weight k with all parts
+    >= j, a subset of those e_r[k] (e_{r+1}[k]) counts, which are
+    partitions of k: every slot stays <= p(order), so w is that bound's bit
+    length plus a spare bit and no slot carries into the next. Decode checks
+    each packed int once against the spare bit of every rank and the bits
+    above the top rank, raising SlotOverflowError if any is set, then
+    unpacks one rank at a time. Every e_r with r > top, r(r+1)/2 > order,
+    is zero and not returned.
     """
     n, m, top = order + 1, order // 4, max_block_count(order)  # a negative order raises here
     w = partition_numbers(order)[-1].bit_length() + 1

@@ -54,11 +54,13 @@ class TestNormalizedRecurrence:
     def test_full_scan_snapshots_once(self, monkeypatch):
         # the route folds plain lists and converts f0 and f1 once, at return
         calls = []
-        series_type = recurrence.TruncatedSeries
-        monkeypatch.setattr(recurrence, "TruncatedSeries",
-                            lambda *a: calls.append(1) or series_type(*a))
-        assert normalized_recurrence(30) == fold_normalized(30, 30)
+        init = TruncatedSeries.__init__
+        monkeypatch.setattr(TruncatedSeries, "__init__",
+                            lambda self, *a, **kw: calls.append(1) or init(self, *a, **kw))
+        pair = normalized_recurrence(30)
         assert len(calls) == 2
+        monkeypatch.undo()
+        assert pair == fold_normalized(30, 30)
 
     @pytest.mark.parametrize("order", [*range(81), 150, 1000, 2000])
     def test_matches_reference_scan(self, order):

@@ -1,10 +1,12 @@
 import random
+from functools import cache
+from math import isqrt
 
 import pytest
 
 from blocksep.qseries import TruncatedSeries, euler_inverse
 from blocksep.recurrence import StatePair, euler_factorized_gf
-from blocksep.transfer import matrix_product_gf
+from blocksep.transfer import _parts_above, matrix_product_gf
 from block_forms import count_overpartitions
 from series_folds import (apply_matrix, matrix_fold, normalized_matrix, one, pair_total, qpow,
                           s_block, start_pair, transfer_matrix, zero)
@@ -12,6 +14,21 @@ from series_folds import (apply_matrix, matrix_fold, normalized_matrix, one, pai
 
 def series(*coeffs):
     return TruncatedSeries(coeffs)
+
+
+@cache
+def recurrence_coeffs(order):
+    return euler_factorized_gf(order).coeffs
+
+
+def threshold_boundaries(top):
+    # the orders n <= top where s = isqrt(n) or the last layer n // (s + 1)
+    # of the matrix route's start state changes, with the order just below
+    def cut(n):
+        s = isqrt(n)
+        return s, n // (s + 1)
+    changes = [n for n in range(1, top + 1) if cut(n) != cut(n - 1)]
+    return sorted({m for n in changes for m in (n - 1, n)})
 
 
 class TestTransferMatrix:
@@ -95,8 +112,8 @@ class TestMatrixProductGF:
         assert matrix_product_gf(0) == one(0)
 
     def test_agrees_with_generic_fold(self):
-        # the literal ascending fold against the route's descending passes:
-        # every residue of n mod 4, and every j = m / m + 1 boundary. A
+        # the literal ascending fold against the route's descending passes,
+        # at every order up to 120, so across every threshold s <= 10. A
         # size j > n starts at q^j, so one fold at the top order holds the
         # fold at every lower order n as its first n + 1 coefficients
         top = 120
@@ -112,8 +129,8 @@ class TestMatrixProductGF:
 
     @pytest.mark.parametrize("n", [20, 21])
     def test_tail_sizes_fold_to_one_step(self, n):
-        # pins the route's start state: for j > n // 2, prod M_j = I + T*F
-        # with T = q^(h+1) + ... + q^n, so (1, 0) starts as (1 + T, T)
+        # for j > h = n // 2 any two S_j sum past the order, so
+        # prod M_j = I + T*F with T = q^(h+1) + ... + q^n
         v = StatePair(series(*range(1, n + 2)), series(*range(n + 1, 0, -1)))
         tail = v
         for j in range(n // 2 + 1, n + 1):
@@ -123,10 +140,10 @@ class TestMatrixProductGF:
 
     @pytest.mark.parametrize("n", [24, 25, 26, 27])
     def test_sizes_above_a_quarter_fold_to_one_step(self, n):
-        # pins the route's start state: for j > m = n // 4, prod M_j is
+        # for j > m = n // 4 any four S_j sum past the order (e4 is zero,
+        # as symfun's start state needs), so prod M_j is
         # I + e1*F + e2*F^2 + e3*F^3 = (1 + e2 + e3)*I + (e1 + e2 + 2*e3)*F,
-        # e_r of those S_j (e4 is zero), so (1, 0) starts as
-        # (1 + e1 + 2*e2 + 3*e3, e1 + e2 + 2*e3)
+        # e_r of those S_j, and (1, 0) goes to (1 + e1 + 2*e2 + 3*e3, e1 + e2 + 2*e3)
         m = n // 4
         e = [one(n)] + [zero(n)] * 4
         for j in range(m + 1, n + 1):
@@ -139,6 +156,27 @@ class TestMatrixProductGF:
             tail = apply_matrix(tail, transfer_matrix(j, n))
         a, b = e[0] + e[2] + e[3], e[1] + e[2] + e[3] + e[3]
         assert tail == StatePair(a * v.f0 + b * (v.f0 + v.f1), a * v.f1 + b * v.f0)
+
+    def test_parts_above_is_the_fold_of_the_sizes_above(self):
+        # pins the route's start state: (1, 0) times M_j for j = s + 1..n,
+        # for every s <= n <= 40; as above, the top order holds every lower one
+        top = 40
+        for s in range(top + 1):
+            v = matrix_fold(top, range(s + 1, top + 1))
+            for n in range(s, top + 1):
+                assert _parts_above(n, s) == (list(v.f0.coeffs[:n + 1]),
+                                              list(v.f1.coeffs[:n + 1])), (n, s)
+
+    def test_agrees_with_recurrence_route_where_the_threshold_moves(self):
+        reference = recurrence_coeffs(10000)
+        orders = threshold_boundaries(2000)
+        assert {isqrt(n) for n in orders} == set(range(isqrt(2000) + 1))
+        for n in orders:
+            assert matrix_product_gf(n).coeffs == reference[:n + 1], n
+
+    @pytest.mark.parametrize("n", [4000, 10000])
+    def test_agrees_with_recurrence_route_at_large_orders(self, n):
+        assert matrix_product_gf(n).coeffs == recurrence_coeffs(10000)[:n + 1]
 
     def test_agrees_with_recurrence_route_at_1201(self):
         assert matrix_product_gf(1201) == euler_factorized_gf(1201)
