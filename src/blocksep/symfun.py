@@ -9,7 +9,9 @@ blocks replaces F_{r+2} with the coefficients C(r-m+1, m).
 from __future__ import annotations
 
 from collections.abc import Callable
-from operator import mul
+from itertools import accumulate, chain, repeat
+from math import isqrt
+from operator import add, mul
 
 from .fibonacci import fib, fib_polynomial
 from .qseries import (SlotOverflowError, TruncatedSeries, _decode_rows, max_block_count,
@@ -20,38 +22,36 @@ def elementary_symmetric_series(order: int) -> list[TruncatedSeries]:
     """e_0 .. e_top of the block series S_1..S_order, truncated; top = max_block_count(order).
 
     All ranks are packed into one int per power of q: ys[k] holds e_r[k] in
-    the w-bit slot r. Below q^(order+1), S_j = q^j + q^(2j) + q^(3j) for
-    j > m = order // 4 and any four such sizes sum past the order, so those
-    sizes give the start state ys = 1 + y*e1 + y^2*e2 + y^3*e3, with e_r of
-    their S_j in closed form: [q^k] e1 counts the sizes j > m with j, 2j or
-    3j equal to k; e2 the pairs m < a < b with a + b, 2a + b or a + 2b equal
-    to k (the last two need a < k/3, the last also a = k mod 2); e3 the
-    triples m < a < b < c with a + b + c = k, that is the partitions of
-    x = k - 3m - 3 into three parts, round(x^2/12). Each size j = m..1 then
-    multiplies by 1 + y*S_j: t[k] = ys_old[k-j] + t[k-j] is ys_old*S_j,
-    added one rank up by ys[k] += t[k] << w. Before pass j, ys counts
-    skeletons with all parts above j, so ys[1..j] are zero: the pass sets
-    ys[j] = y*q^j and works from k = 2j on. Slot r of ys[k] (of t[k])
-    counts the r-block ((r+1)-block) skeletons of weight k with all parts
-    >= j, a subset of those e_r[k] (e_{r+1}[k]) counts, which are
-    partitions of k: every slot stays <= p(order), so w is that bound's bit
-    length plus a spare bit and no slot carries into the next. Decode checks
-    each packed int once against the spare bit of every rank and the bits
-    above the top rank, raising SlotOverflowError if any is set, then
-    unpacks one rank at a time. Every e_r with r > top, r(r+1)/2 > order,
-    is zero and not returned.
+    the w-bit slot r, so y = 1 << w is one block. The sizes above
+    s = isqrt(order) come by part count, with the bijection of
+    `transfer._parts_above` and its step F replaced by one rank up: if g_l[x]
+    counts the partitions of x into l parts by blocks and h_l[x] those with
+    smallest part 1, h_l[x] = h_(l-1)[x-1] + (g_(l-1)[x-l] << w), as a lone 1
+    is one more block, and g_l[x] = g_l[x-l] + h_l[x]; layer 1 puts y at
+    every k > s, layer l adds g_l[x] at k = l*s + x. Each size j = s..1 then
+    multiplies by 1 + y*S_j: t[k] = ys_old[k-j] + t[k-j] is ys_old*S_j, added
+    one rank up by ys[k] += t[k] << w. Before pass j, ys counts skeletons with
+    all parts above j, so ys[1..j] are zero: the pass sets ys[j] = y*q^j and
+    works from k = 2j on. Each slot of ys, t, g and h counts the partitions of
+    one weight <= order with one number of blocks, so it stays <= p(order): w
+    is that bound's bit length plus a spare bit and no slot carries into the
+    next. Decode checks each packed int once against the spare bit of every
+    rank and the bits above the top rank, raising SlotOverflowError if any is
+    set, then unpacks one rank at a time. Every e_r with r > top, that is
+    r(r+1)/2 > order, is zero and not returned.
     """
-    n, m, top = order + 1, order // 4, max_block_count(order)  # a negative order raises here
-    w = partition_numbers(order)[-1].bit_length() + 1
-    ys = [1] + [0] * order
-    for k in range(m + 1, n):
-        third = (k - 1) // 3  # largest a with 3a < k
-        e1 = 1 + (k % 2 == 0 and k > 2 * m) + (k % 3 == 0 and k > 3 * m)
-        e2 = (max(0, (k - 1) // 2 - m) + max(0, third - m)
-              + max(0, (third - k) // 2 - (m - k) // 2))
-        e3 = (max(0, k - 3 * m - 3) ** 2 + 6) // 12
-        ys[k] = e1 << w | e2 << 2 * w | e3 << 3 * w
-    for j in range(m, 0, -1):
+    n, top = order + 1, max_block_count(order)  # a negative order raises here
+    s, w = isqrt(order), partition_numbers(order)[-1].bit_length() + 1
+    g, h = [1 << w] * (order - s), [1 << w] + [0] * (order - s - 1)  # layer 1: one part
+    ys = [1] + [0] * s + g
+    for l in range(2, order // (s + 1) + 1):
+        start = l * (s + 1)
+        h = list(map(add, h[:n - start], chain(repeat(0, l - 1), (x << w for x in g))))
+        g = h[:]
+        for r in range(min(l, n - start - l)):  # a residue with one entry is its own sum
+            g[r::l] = accumulate(g[r::l])
+        ys[start:] = map(add, ys[start:], g)
+    for j in range(s, 0, -1):
         t = [0] * j + ys[:n - j]  # copied before ys[j] is set
         ys[j] = 1 << w
         for k in range(2 * j, n):

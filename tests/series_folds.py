@@ -26,9 +26,12 @@ folds the normalized matrices in one n at a time over plain lists; it is
 the per-step reference for the recurrence route, which sums Euler's
 identity instead. `euler_forward_pair` sums that identity term by term,
 front to back: the reference for the route's Horner fold.
+`threshold_boundaries` lists the orders where the part-count start state
+of both product routes changes shape.
 """
 
 from itertools import accumulate, repeat
+from math import isqrt
 from operator import add, mul, sub
 
 from blocksep.fibonacci import fib_polynomial
@@ -129,9 +132,9 @@ def elementary_symmetric_fold(r_max, order):
     """e_0 .. e_{r_max} of S_1..S_order: e_r += e_{r-1} * S_j, r descending.
 
     One plain list per rank, every size j one at a time: no packing, no
-    slot width and no shortcut for the sizes above order/2. e_{r-1} is zero
-    below q^(T_{r-1}), T_r = r(r+1)/2, so e_{r-1} * S_j is zero below
-    q^(T_{r-1}+j); t below holds it from there up.
+    slot width and no part-count start for the sizes above isqrt(order).
+    e_{r-1} is zero below q^(T_{r-1}), T_r = r(r+1)/2, so e_{r-1} * S_j is
+    zero below q^(T_{r-1}+j); t below holds it from there up.
     """
     n = order + 1
     es = [[1] + [0] * order] + [[0] * n for _ in range(r_max)]
@@ -259,3 +262,16 @@ def euler_forward_pair(order):
             if c:
                 f[t:] = map(add, f[t:], map(mul, h[t:], repeat(c)))
     return StatePair(TruncatedSeries(f0), TruncatedSeries(f1))
+
+
+def threshold_boundaries(top):
+    """The orders n <= top where the part-count start state changes, each with n - 1.
+
+    Both product routes take the sizes above s = isqrt(n) by part count, in
+    layers up to n // (s + 1); the list holds every n where either changes.
+    """
+    def cut(n):
+        s = isqrt(n)
+        return s, n // (s + 1)
+    changes = [n for n in range(1, top + 1) if cut(n) != cut(n - 1)]
+    return sorted({m for n in changes for m in (n - 1, n)})

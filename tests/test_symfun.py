@@ -1,4 +1,6 @@
 import sys
+from itertools import accumulate
+from math import isqrt
 
 import pytest
 
@@ -16,7 +18,7 @@ from blocksep.symfun import (
 )
 from blocksep.transfer import matrix_product_gf
 from series_folds import (bivariate_columns, elementary_symmetric_fold, one,
-                          overpartition_product, s_block, zero)
+                          overpartition_product, s_block, threshold_boundaries, zero)
 
 
 def series(*coeffs):
@@ -81,13 +83,28 @@ class TestElementarySymmetric:
             assert lowest == r * (r + 1) // 2, r
 
     def test_matches_reference_fold(self):
-        # the packed table, which takes every size above n/4 in one step,
-        # against the unpacked fold that takes each size alone; the fold runs
-        # one rank past the largest that fits, and that rank must be zero
+        # the packed table, which takes the sizes above isqrt(n) by part
+        # count, against the unpacked fold that takes each size alone; the
+        # fold runs one rank past the largest that fits, and that rank must
+        # be zero
         for n in [*range(121), 500, 1000]:
             *reference, above = elementary_symmetric_fold(max_block_count(n) + 1, n)
             assert above == zero(n), n
             assert elementary_symmetric_series(n) == reference, n
+
+    def test_matches_reference_fold_where_the_threshold_moves(self):
+        # one fold at the top order, cut to each order n: truncation commutes
+        # with the product, so the cut is the fold at n, and every rank past
+        # the largest that fits at n must cut to zero
+        top = 1000
+        orders = threshold_boundaries(top)
+        assert {isqrt(n) for n in orders} == set(range(isqrt(top) + 1))
+        reference = elementary_symmetric_fold(max_block_count(top), top)
+        for n in orders:
+            cut = [TruncatedSeries(e.coeffs[:n + 1]) for e in reference]
+            r_top = max_block_count(n)
+            assert cut[r_top + 1:] == [zero(n)] * (len(cut) - r_top - 1), n
+            assert elementary_symmetric_series(n) == cut[:r_top + 1], n
 
     def test_narrow_width_raises(self, monkeypatch):
         # the slot width is read from p(order); at the width whose spare bit
@@ -114,18 +131,26 @@ class TestElementarySymmetric:
 
     def test_rank_sums_at_order_1000(self):
         # sum_r e_r = 1/(q;q) and sum_r 2^r e_r = (-q;q)/(q;q), each against
-        # its own sparse reciprocal, far past the orders the folds reach
+        # its own sparse reciprocal, far past the orders the folds reach, and
+        # sum_r r*e_r[k] = p(0) + .. + p(k-1): the left side counts the
+        # distinct part sizes over the partitions of k
         self.check_rank_sums(1000)
 
     def test_rank_sums_at_order_2000(self):
         self.check_rank_sums(2000)
 
+    def test_rank_sums_at_order_4000(self):
+        self.check_rank_sums(4000)
+
     @staticmethod
     def check_rank_sums(n):
         columns = list(zip(*(e.coeffs for e in elementary_symmetric_series(n))))
-        assert [sum(col) for col in columns] == partition_numbers(n)
+        p = partition_numbers(n)
+        assert [sum(col) for col in columns] == p
         assert [sum(c << r for r, c in enumerate(col)) for col in columns] == \
             overpartition_numbers(n)
+        assert [sum(r * c for r, c in enumerate(col)) for col in columns] == \
+            [0, *accumulate(p[:n])]
 
 
 class TestWeightedGF:

@@ -9,7 +9,7 @@ from blocksep.recurrence import StatePair, euler_factorized_gf
 from blocksep.transfer import _parts_above, matrix_product_gf
 from block_forms import count_overpartitions
 from series_folds import (apply_matrix, matrix_fold, normalized_matrix, one, pair_total, qpow,
-                          s_block, start_pair, transfer_matrix, zero)
+                          s_block, start_pair, threshold_boundaries, transfer_matrix, zero)
 
 
 def series(*coeffs):
@@ -19,16 +19,6 @@ def series(*coeffs):
 @cache
 def recurrence_coeffs(order):
     return euler_factorized_gf(order).coeffs
-
-
-def threshold_boundaries(top):
-    # the orders n <= top where s = isqrt(n) or the last layer n // (s + 1)
-    # of the matrix route's start state changes, with the order just below
-    def cut(n):
-        s = isqrt(n)
-        return s, n // (s + 1)
-    changes = [n for n in range(1, top + 1) if cut(n) != cut(n - 1)]
-    return sorted({m for n in changes for m in (n - 1, n)})
 
 
 class TestTransferMatrix:
@@ -140,8 +130,8 @@ class TestMatrixProductGF:
 
     @pytest.mark.parametrize("n", [24, 25, 26, 27])
     def test_sizes_above_a_quarter_fold_to_one_step(self, n):
-        # for j > m = n // 4 any four S_j sum past the order (e4 is zero,
-        # as symfun's start state needs), so prod M_j is
+        # for j > m = n // 4 any four S_j sum past the order, so e4 of those
+        # S_j is zero and prod M_j is
         # I + e1*F + e2*F^2 + e3*F^3 = (1 + e2 + e3)*I + (e1 + e2 + 2*e3)*F,
         # e_r of those S_j, and (1, 0) goes to (1 + e1 + 2*e2 + 3*e3, e1 + e2 + 2*e3)
         m = n // 4
