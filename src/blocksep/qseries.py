@@ -5,9 +5,8 @@ its kernels; the routes themselves fold over plain lists of ints. p(n),
 p~(n) and the recurrence route's Euler factor come from one loop that
 divides a list by a sparse series, its terms grouped by sign under one
 scale. A series is kept modulo q^(order+1); coefficients are Python ints,
-so all arithmetic is exact at any size. The packed-row decode that both
-triangles of b(n, m) share lives here too, so no route imports another,
-and so does `_Value`, the base of every value type in the package.
+so all arithmetic is exact at any size. `_Value`, the base of every value
+type in the package, lives here too.
 """
 
 from __future__ import annotations
@@ -219,23 +218,3 @@ def max_block_count(order: int) -> int:
     if order < 0:
         raise ValueError("order must be nonnegative")
     return (isqrt(8 * order + 1) - 1) // 2
-
-
-def _decode_rows(packed: list[int], v: int) -> tuple[tuple[int, ...], ...]:
-    """Rows of b(n, m) from packed[n] = sum_m b(n, m) * 2^(m*v), n = 0..len(packed) - 1.
-
-    Row n has at most (r_n + 1) // 2 + 1 slots, r_n = max_block_count(n),
-    and b(n, 0) = p(n) >= 1, so packed[n] > 0. Raises SlotOverflowError if
-    packed[n] is not positive, has more slots or sets a slot's spare bit.
-    The top slot is nonzero, so the rows come out trimmed.
-    """
-    order = len(packed) - 1
-    mask = (1 << v) - 1
-    spares = sum(1 << (m * v + v - 1) for m in range((max_block_count(order) + 1) // 2 + 1))
-    rows = []
-    for n, x in enumerate(packed):
-        slots = -(-x.bit_length() // v)
-        if x <= 0 or slots > (max_block_count(n) + 1) // 2 + 1 or x & spares:
-            raise SlotOverflowError(f"b(n, m) slot of {v} bits overflowed at order {order}")
-        rows.append(tuple([x >> m * v & mask for m in range(slots)]))
-    return tuple(rows)

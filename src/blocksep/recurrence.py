@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from itertools import accumulate, repeat
 
-from .qseries import (TruncatedSeries, _decode_rows, _pentagonal, _sparse_divide, _Value,
+from .qseries import (SlotOverflowError, TruncatedSeries, _pentagonal, _sparse_divide, _Value,
                       euler_inverse, max_block_count, overpartition_numbers)
 
 
@@ -76,11 +76,30 @@ def euler_factorized_triangle(order: int) -> tuple[tuple[int, ...], ...]:
     division of the total, both on plain ints, leave sum_m b(n, m) 2^(m v) at
     q^n exactly. Their intermediate values may be negative or of any size;
     only the result needs the width: b(n, m) <= b(n) <= p~(order), so v is
-    that bound's bit length plus a spare bit, as in `symfun.bivariate_gf`,
-    and the one decode both triangles share, `qseries._decode_rows`, checks them.
+    that bound's bit length plus a spare bit, and `_decode_rows` checks it.
     """
     v = overpartition_numbers(order)[-1].bit_length() + 1  # a negative order raises here
     return _decode_rows(_sparse_divide(_normalized_total(order, 1 << v), _pentagonal()), v)
+
+
+def _decode_rows(packed: list[int], v: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of b(n, m) from packed[n] = sum_m b(n, m) * 2^(m*v), n = 0..len(packed) - 1.
+
+    Row n has at most (r_n + 1) // 2 + 1 slots, r_n = max_block_count(n),
+    and b(n, 0) = p(n) >= 1, so packed[n] > 0. Raises SlotOverflowError if
+    packed[n] is not positive, has more slots or sets a slot's spare bit.
+    The top slot is nonzero, so the rows come out trimmed.
+    """
+    order = len(packed) - 1
+    mask = (1 << v) - 1
+    spares = sum(1 << (m * v + v - 1) for m in range((max_block_count(order) + 1) // 2 + 1))
+    rows = []
+    for n, x in enumerate(packed):
+        slots = -(-x.bit_length() // v)
+        if x <= 0 or slots > (max_block_count(n) + 1) // 2 + 1 or x & spares:
+            raise SlotOverflowError(f"b(n, m) slot of {v} bits overflowed at order {order}")
+        rows.append(tuple([x >> m * v & mask for m in range(slots)]))
+    return tuple(rows)
 
 
 def _normalized_total(order: int, t: int = 1) -> list[int]:

@@ -9,13 +9,12 @@ blocks replaces F_{r+2} with the coefficients C(r-m+1, m).
 from __future__ import annotations
 
 from collections.abc import Callable
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, repeat, zip_longest
 from math import isqrt
 from operator import add, mul
 
 from .fibonacci import fib, fib_polynomial
-from .qseries import (SlotOverflowError, TruncatedSeries, _decode_rows, max_block_count,
-                      overpartition_numbers, partition_numbers)
+from .qseries import SlotOverflowError, TruncatedSeries, max_block_count, partition_numbers
 
 
 def elementary_symmetric_series(order: int) -> list[TruncatedSeries]:
@@ -90,19 +89,17 @@ def fibonacci_weighted_gf(order: int) -> TruncatedSeries:
 def bivariate_gf(order: int) -> tuple[tuple[int, ...], ...]:
     """Rows of b(n, m), the weight-n objects with exactly m overlined blocks.
 
-    rows[n][m] = b(n, m) for n = 0..order, each row trimmed of trailing
-    zeros; row sums give b(n) and the m = 0 column gives p(n). b(n, m) sums,
-    over the number of blocks r, the skeleton count [q^n] e_r times the
-    number of r-block decorations with m overlines, C(r-m+1, m).
-
-    Each row is one packed dot product with the weights
-    W_r = sum_m C(r-m+1, m) * 2^(m*v), so slot m of row n is b(n, m). Every
-    partial sum adds nonnegative terms, and b(n, m) <= b(n) <= p~(n) <=
-    p~(order), so v is that bound's bit length plus a spare bit and no slot
-    carries into the next; `_decode_rows` checks and unpacks the rows.
+    rows[n][m] = b(n, m) for n = 0..order; row sums give b(n) and the m = 0
+    column gives p(n). b(n, m) sums, over the number of blocks r, the
+    skeleton count [q^n] e_r times the number of r-block decorations with m
+    overlines, C(r-m+1, m): row n is one plain dot of e_0[n] .. e_(r_n)[n],
+    r_n = max_block_count(n), with each column m <= (r_n + 1) // 2 of the
+    `fib_polynomial` table. The last entry counts the word 1010.. on a
+    skeleton of r_n blocks, so it is nonzero and the row comes out trimmed.
     """
     es = elementary_symmetric_series(order)  # a negative order raises here
-    v = overpartition_numbers(order)[-1].bit_length() + 1
-    weights = [sum(c << m * v for m, c in enumerate(fib_polynomial(r))) for r in range(len(es))]
-    return _decode_rows(_row_dots(es, weights), v)
-
+    polys = [fib_polynomial(r) for r in range(len(es))]
+    # heads[r]: the columns m <= (r + 1) // 2 of the table, each cut to ranks 0..r
+    heads = [list(zip_longest(*polys[:r + 1], fillvalue=0)) for r in range(len(es))]
+    return tuple(tuple(sum(map(mul, ranks, column)) for column in heads[max_block_count(n)])
+                 for n, ranks in enumerate(zip(*(e.coeffs for e in es))))

@@ -15,11 +15,14 @@ routes it is compared against. `euler_product_inverse` and
 `schoolbook_product` is the term-by-term reference for `*` and for the
 division by the pentagonal series. `elementary_symmetric_fold` keeps one
 plain list per rank and takes every size alone: the unpacked reference for
-the packed e_r table, quick enough to reach order 1000. `bivariate_columns`
-builds the triangle b(n, m) from that fold one column m at a time, one list
-pass per (r, m): the plain reference for the packed rows of
-`bivariate_gf`. `term_division` divides by a sparse series one signed
-term (g, c) at a time, a multiply per term: the reference for the
+the packed e_r table, quick enough to reach order 1000.
+`elementary_symmetric_cut` cuts one such fold at 1000, built once per test
+session, to any smaller order. `bivariate_columns` builds the triangle
+b(n, m) from that cut one column m at a time, one list pass per (r, m):
+the reference for both triangles, the plain dots of `bivariate_gf` and the
+Kronecker-packed rows of `euler_factorized_triangle`. `term_division`
+divides by a sparse series one signed term (g, c) at a time, a multiply
+per term: the reference for the
 sign-grouped division loop behind p, p~ and the Euler factor, with its own
 `pentagonal_terms` and `theta_terms`. `normalized_scan`
 folds the normalized matrices in one n at a time over plain lists; it is
@@ -30,6 +33,7 @@ front to back: the reference for the route's Horner fold.
 of both product routes changes shape.
 """
 
+import functools
 from itertools import accumulate, repeat
 from math import isqrt
 from operator import add, mul, sub
@@ -148,14 +152,36 @@ def elementary_symmetric_fold(r_max, order):
     return [TruncatedSeries(e) for e in es]
 
 
+CUT_TOP = 1000
+
+
+@functools.cache
+def _fold_at_cut_top():
+    """The fold at CUT_TOP, one rank past the largest that fits there."""
+    return tuple(elementary_symmetric_fold(max_block_count(CUT_TOP) + 1, CUT_TOP))
+
+
+def elementary_symmetric_cut(r_max, order):
+    """elementary_symmetric_fold(r_max, order), cut from the one fold at CUT_TOP.
+
+    Truncation commutes with the product: the sizes above order add nothing
+    below q^(order+1), so the fold at CUT_TOP cut to order is the fold at
+    order. It reaches order CUT_TOP and rank max_block_count(CUT_TOP) + 1.
+    """
+    fold = _fold_at_cut_top()
+    if order > CUT_TOP or r_max >= len(fold):
+        raise ValueError(f"the cut reaches order {CUT_TOP} and rank {len(fold) - 1}")
+    return [TruncatedSeries(e.coeffs[:order + 1]) for e in fold[:r_max + 1]]
+
+
 def bivariate_columns(order):
     """Rows of b(n, m) = sum_r C(r-m+1, m) * e_r[n], each trimmed of trailing zeros.
 
-    Column m is built as one plain list from the unpacked e_r fold, adding
+    Column m is built as one plain list from the unpacked e_r cut, adding
     C(r-m+1, m) * e_r for each rank r; no packing and no slot width.
     """
     r_top = max_block_count(order)
-    es = elementary_symmetric_fold(r_top, order)
+    es = elementary_symmetric_cut(r_top, order)
     columns = [[0] * (order + 1) for _ in range((r_top + 1) // 2 + 1)]
     for r, e in enumerate(es):
         low = r * (r + 1) // 2  # e_r vanishes below q^(r(r+1)/2)

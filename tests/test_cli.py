@@ -470,6 +470,18 @@ class TestBivariate:
                "recurrence (30, 68, 10) != symmetric (30, 67, 10)\n")
         assert run(capsys, "bivariate", "--limit", "40") == (1, "", err)
 
+    def test_decode_fault_exits_1(self, capsys, monkeypatch):
+        # one more object at n = 9, m = 1 in every module that holds a decode
+        # of b(n, m) rows; the e_r triangle takes plain dots and decodes
+        # nothing, so the window check sees the fault
+        holders = [m for m in (qseries, recurrence, symfun) if hasattr(m, "_decode_rows")]
+        assert recurrence in holders
+        for module in holders:
+            edit_result(monkeypatch, module, "_decode_rows", row_raised_at(9, 1))
+        err = ("error: triangle disagreement at n=9: "
+               "recurrence (30, 68, 10) != symmetric (30, 67, 10)\n")
+        assert run(capsys, "bivariate", "--limit", "30") == (1, "", err)
+
     def test_window_check_reads_the_e_r_triangle(self, capsys, monkeypatch):
         # rows 0..25 are compared with bivariate_gf, which reads the e_r table
         e_r, triangle = symfun.elementary_symmetric_series, symfun.bivariate_gf

@@ -1,7 +1,7 @@
 import pytest
 
 from blocksep import fibonacci, recurrence, symfun, transfer
-from blocksep.qseries import TruncatedSeries
+from blocksep.qseries import TruncatedSeries, max_block_count, overpartition_numbers
 from blocksep.recurrence import (euler_factorized_gf, euler_factorized_triangle,
                                  normalized_recurrence)
 from blocksep.symfun import bivariate_gf
@@ -223,6 +223,28 @@ class TestEulerFactorizedTriangle:
         monkeypatch.setattr(recurrence, "_sparse_divide", edited)
         with pytest.raises(symfun.SlotOverflowError, match="b\\(n, m\\) slot"):
             euler_factorized_triangle(30)
+
+    def test_extra_slot_raises(self, monkeypatch):
+        # row 30 may fill (r_n + 1) // 2 + 1 = 5 slots, r_n = 7; a 1 in the
+        # lowest bit of the next slot sets no spare bit, only one slot too many
+        v = overpartition_numbers(30)[-1].bit_length() + 1
+        divide = recurrence._sparse_divide
+
+        def edited(*args):
+            packed = divide(*args)
+            packed[30] += 1 << (max_block_count(30) + 1) // 2 * v + v
+            return packed
+
+        monkeypatch.setattr(recurrence, "_sparse_divide", edited)
+        with pytest.raises(symfun.SlotOverflowError, match="b\\(n, m\\) slot"):
+            euler_factorized_triangle(30)
+
+    def test_largest_entry_at_most_doubles(self):
+        # the premise of the decode check: if the largest b(n, m) at most
+        # doubles from n - 1 to n, the first slot to outgrow a narrow width
+        # still fits in it and sets its spare bit
+        largest = [max(row) for row in euler_factorized_triangle(1000)]
+        assert all(b <= 2 * a for a, b in zip(largest, largest[1:]))
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

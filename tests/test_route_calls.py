@@ -37,8 +37,6 @@ LOOP_BOUND = "the largest block count r with r(r+1)/2 <= N, a loop bound"
 DIVISION = ("the pentagonal division gives the Euler factor of the recurrence route and the "
             "Kronecker triangle, and p(N) and p~(N), which the packed routes read only as "
             "slot widths that the decode checks")
-TRIANGLE_WIDTH = "p~(N) sizes both triangles' slots, and the decode checks every slot against it"
-DECODE = "both triangles unpack their rows here, and a slot past its width raises"
 RECURRENCE_FOLD = ("the Kronecker triangle is the recurrence route's fold at t = 2^v, so it is "
                    "compared with the e_r triangle instead")
 E_R_TABLE = ("the symmetric route and the e_r triangle weigh one e_r table, by F(r+2) and "
@@ -62,11 +60,8 @@ ALLOWED = {
     ("symmetric", "kronecker_triangle"): COMMON,
     ("symmetric", "e_r_triangle"): {
         "qseries.__init__": CONSTRUCTOR, **COMMON,
-        "qseries.partition_numbers": E_R_TABLE, "symfun._row_dots": E_R_TABLE,
-        "symfun.elementary_symmetric_series": E_R_TABLE},
-    ("kronecker_triangle", "e_r_triangle"): {
-        **COMMON, "qseries._decode_rows": DECODE,
-        "qseries.overpartition_numbers": TRIANGLE_WIDTH},
+        "qseries.partition_numbers": E_R_TABLE, "symfun.elementary_symmetric_series": E_R_TABLE},
+    ("kronecker_triangle", "e_r_triangle"): COMMON,
 }
 
 

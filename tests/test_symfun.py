@@ -5,7 +5,7 @@ from math import isqrt
 import pytest
 
 from blocksep import symfun
-from blocksep.fibonacci import fib, fib_polynomial
+from blocksep.fibonacci import fib
 from blocksep.qseries import (TruncatedSeries, euler_inverse, overpartition_numbers,
                               partition_numbers)
 from blocksep.recurrence import euler_factorized_gf
@@ -17,8 +17,8 @@ from blocksep.symfun import (
     weighted_gf,
 )
 from blocksep.transfer import matrix_product_gf
-from series_folds import (bivariate_columns, elementary_symmetric_fold, one,
-                          overpartition_product, s_block, threshold_boundaries, zero)
+from series_folds import (bivariate_columns, elementary_symmetric_cut, elementary_symmetric_fold,
+                          one, overpartition_product, s_block, threshold_boundaries, zero)
 
 
 def series(*coeffs):
@@ -88,7 +88,7 @@ class TestElementarySymmetric:
         # fold runs one rank past the largest that fits, and that rank must
         # be zero
         for n in [*range(121), 500, 1000]:
-            *reference, above = elementary_symmetric_fold(max_block_count(n) + 1, n)
+            *reference, above = elementary_symmetric_cut(max_block_count(n) + 1, n)
             assert above == zero(n), n
             assert elementary_symmetric_series(n) == reference, n
 
@@ -99,12 +99,18 @@ class TestElementarySymmetric:
         top = 1000
         orders = threshold_boundaries(top)
         assert {isqrt(n) for n in orders} == set(range(isqrt(top) + 1))
-        reference = elementary_symmetric_fold(max_block_count(top), top)
+        reference = elementary_symmetric_cut(max_block_count(top), top)
         for n in orders:
             cut = [TruncatedSeries(e.coeffs[:n + 1]) for e in reference]
             r_top = max_block_count(n)
             assert cut[r_top + 1:] == [zero(n)] * (len(cut) - r_top - 1), n
             assert elementary_symmetric_series(n) == cut[:r_top + 1], n
+
+    def test_cut_is_the_fold_at_its_order(self):
+        # the reference folds above are cut from one fold at order 1000
+        for n in (0, 1, 7, 60, 200):
+            r = max_block_count(n) + 1
+            assert elementary_symmetric_cut(r, n) == elementary_symmetric_fold(r, n), n
 
     def test_narrow_width_raises(self, monkeypatch):
         # the slot width is read from p(order); at the width whose spare bit
@@ -171,7 +177,7 @@ class TestWeightedGF:
         # weights need not be nonnegative: each row is a plain dot product
         for weight in (lambda r: (-1) ** r, lambda r: 3 - 2 * r, lambda r: (-2) ** r * fib(r)):
             for n in (0, 1, 7, 60, 200):
-                es = elementary_symmetric_fold(max_block_count(n), n)
+                es = elementary_symmetric_cut(max_block_count(n), n)
                 expected = [sum(weight(r) * e.coeffs[k] for r, e in enumerate(es))
                             for k in range(n + 1)]
                 assert weighted_gf(n, weight).coeffs == tuple(expected), n
@@ -231,35 +237,10 @@ class TestBivariate:
             assert len(row) == 1 or row[-1] != 0
 
     def test_matches_plain_reference(self):
-        # packed rows against one plain list per column, built from the
-        # unpacked e_r fold
+        # the dots of each row against one plain list per column, built from
+        # the unpacked e_r fold
         for n in [*range(121), 500, 1000]:
             assert bivariate_gf(n) == bivariate_columns(n), n
-
-    def test_largest_entry_at_most_doubles(self):
-        # the premise of the triangle's decode check, as for the e_r table
-        largest = [max(row) for row in bivariate_gf(1000)]
-        assert all(b <= 2 * a for a, b in zip(largest, largest[1:]))
-
-    def test_narrow_width_raises(self, monkeypatch):
-        # the slot width is read from p~(order); at the width whose spare bit
-        # the largest b(n, m) reaches, and at every narrower one, decode must
-        # raise instead of returning a wrong triangle
-        for n in (5, 30, 120):
-            largest = max(max(row) for row in bivariate_gf(n))
-            for w in range(2, largest.bit_length() + 1):
-                monkeypatch.setattr(symfun, "overpartition_numbers",
-                                    lambda order, w=w: [1 << (w - 2)] * (order + 1))
-                with pytest.raises(OverflowError):
-                    bivariate_gf(n)
-            monkeypatch.undo()
-
-    def test_extra_slot_raises(self, monkeypatch):
-        # a weight with a slot past C(r-m+1, m)'s last m makes every row one
-        # slot longer than r_n allows
-        monkeypatch.setattr(symfun, "fib_polynomial", lambda r: fib_polynomial(r) + (1,))
-        with pytest.raises(symfun.SlotOverflowError, match="b\\(n, m\\) slot"):
-            bivariate_gf(10)
 
 
 @pytest.mark.parametrize("call", [
